@@ -50,16 +50,16 @@ CONFIG_SCHEMA = {
     "ssd": "site distribution: 'rademacher' or {kind: two_point|uniform|gaussian, ...}",
     "f": "test function: catalog name or {poly: [ascending coefficients]}",
     "R": "number of replicates",
-    "p": "weight order of the modified measure (moments, nubar)",
+    "p": "weight order of the modified measure, integer >= 0 (moments, nubar)",
     "k": "moment order; some kinds use k_grid",
     "k_grid": "list of moment orders (moments, nubar, ids)",
     "degrees": "ascending polynomial degrees (approx-convergence)",
-    "interval": "[lo, hi] approximation/monotonicity interval",
+    "interval": "[lo, hi] approximation/monotonicity interval, finite lo < hi",
     "master_seed": (
         "integer seed; with the seed fixed, every result is a pure function "
         "of the config and is bit-identical for any worker count"
     ),
-    "workers": "thread count (scheduling only; never changes numerics)",
+    "workers": "positive integer, accepted and validated; computation is serial",
     "out": "output directory (default 'results')",
     "assert": "true: exit nonzero when any verdict fails",
 }
@@ -101,6 +101,17 @@ class ExperimentConfig:
                 f"{self.kind}: field '{field}' must be a non-empty list of integers >= {minimum}"
             )
         return value
+
+    def interval(self):
+        value = self.require("interval")
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_finite, value))
+        if not (ok and value[0] < value[1]):
+            raise ConfigError(f"{self.kind}: field 'interval' must be finite [lo, hi], lo < hi")
+        return tuple(value)
+
+
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass
@@ -164,13 +175,14 @@ def _seed(cfg: ExperimentConfig, override) -> int:
 # experiment implementations
 
 
-def _run_clt(cfg, seed, workers):
+def _run_clt(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     R = cfg.positive_int("R", minimum=200)
     dist = _parse_dist(cfg)
     f = _parse_test_function(cfg)
-    samples = clt.sample_centered_traces(d, L, dist, f, R, seed, workers)
+    interval = cfg.interval() if "interval" in cfg.raw else None
+    samples = clt.sample_centered_traces(d, L, dist, f, R, seed)
     report = clt.normality_test(samples)
     thresholds = clt.normality_thresholds(R)
     row = {
@@ -209,10 +221,9 @@ def _run_clt(cfg, seed, workers):
         verdicts.append(
             ("ks", ks_scaled <= thresholds["ks_scaled"], f"{ks_scaled:.4g} <= 1.95")
         )
-        interval = cfg.get("interval")
         monotone = getattr(f, "monotone", False)
         if interval is not None and monotone:
-            verdict = clt.positivity_check(samples, monotone, tuple(interval))
+            verdict = clt.positivity_check(samples, monotone, interval)
             row["positivity"] = verdict.status
             verdicts.append(
                 (
@@ -224,7 +235,7 @@ def _run_clt(cfg, seed, workers):
     return [row], verdicts
 
 
-def _run_variance_scan(cfg, seed, workers):
+def _run_variance_scan(cfg, seed):
     d = cfg.positive_int("d")
     grid = cfg.int_list("L_grid", minimum=0)
     R = cfg.positive_int("R", minimum=8)
@@ -232,7 +243,7 @@ def _run_variance_scan(cfg, seed, workers):
     f = _parse_test_function(cfg)
     if not isinstance(f, Polynomial):
         raise ConfigError("variance-scan: f must be a polynomial")
-    scan = clt.variance_scan(f, d, dist, grid, R, seed, workers)
+    scan = clt.variance_scan(f, d, dist, grid, R, seed)
     rows = [
         {
             "d": d,
@@ -249,12 +260,16 @@ def _run_variance_scan(cfg, seed, workers):
     return rows, [("stabilized", scan.stabilized, "last two grid points within 3 SE")]
 
 
-def _run_approx_convergence(cfg, seed, workers):
+def _run_approx_convergence(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     R = cfg.positive_int("R", minimum=8)
     degrees = cfg.int_list("degrees", minimum=1)
-    interval = cfg.require("interval")
+    interval = cfg.interval()
+    scheme = cfg.get("scheme", "bernstein")
+    if scheme not in clt.APPROX_SCHEMES:
+        raise ConfigError(f"approx-convergence: scheme {scheme!r} not in {clt.APPROX_SCHEMES}")
+    norm_replicates = cfg.positive_int("norm_replicates", 24, minimum=2)
     dist = _parse_dist(cfg)
     f = _parse_test_function(cfg)
     if isinstance(f, Polynomial):
@@ -262,15 +277,14 @@ def _run_approx_convergence(cfg, seed, workers):
     report = clt.approx_variance_convergence(
         f,
         degrees,
-        tuple(interval),
+        interval,
         d,
         L,
         dist,
         R,
         seed,
-        scheme=cfg.get("scheme", "bernstein"),
-        norm_replicates=cfg.get("norm_replicates", 24),
-        workers=workers,
+        scheme=scheme,
+        norm_replicates=norm_replicates,
     )
     rows = [
         {
@@ -299,10 +313,10 @@ def _run_approx_convergence(cfg, seed, workers):
     return rows, verdicts
 
 
-def _run_moments(cfg, seed, workers):
+def _run_moments(cfg, seed):
     d = cfg.positive_int("d")
     ks = cfg.int_list("k_grid", minimum=0)
-    p = cfg.get("p", 1)
+    p = cfg.positive_int("p", 1, minimum=0)
     dist = _parse_dist(cfg)
     C, a = dist.growth_constants()
     rows, verdicts = [], []
@@ -339,16 +353,16 @@ def _run_moments(cfg, seed, workers):
     return rows, verdicts
 
 
-def _run_nubar(cfg, seed, workers):
+def _run_nubar(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     R = cfg.positive_int("R", minimum=2)
-    p = cfg.get("p", 1)
+    p = cfg.positive_int("p", 1, minimum=0)
     ks = cfg.int_list("k_grid", minimum=0)
     dist = _parse_dist(cfg)
     rows, verdicts = [], []
     for k in ks:
-        est = measures.modified_dos_moment_mc(d, L, dist, p, k, R, seed, workers=workers)
+        est = measures.modified_dos_moment_mc(d, L, dist, p, k, R, seed)
         row = {
             "estimator": "mc",
             "d": d,
@@ -371,7 +385,7 @@ def _run_nubar(cfg, seed, workers):
     return rows, verdicts
 
 
-def _run_martingale(cfg, seed, workers):
+def _run_martingale(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     dist = _parse_dist(cfg)
@@ -400,7 +414,7 @@ def _run_martingale(cfg, seed, workers):
     return rows, verdicts
 
 
-def _run_directional(cfg, seed, workers):
+def _run_directional(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     dist = _parse_dist(cfg)
@@ -425,9 +439,11 @@ def _run_directional(cfg, seed, workers):
     return rows, [("lower-bound", rep.ok, f"margin {float(rep.margin):.4g}")]
 
 
-def _run_hf_check(cfg, seed, workers):
+def _run_hf_check(cfg, seed):
     count = cfg.positive_int("count", 100)
-    h = float(cfg.get("h", 1e-4))
+    h = cfg.get("h", 1e-4)
+    if not _finite(h) or h <= 0:
+        raise ConfigError("hf-check: field 'h' must be a finite number > 0")
     f = _parse_test_function(cfg)
     gen = np.random.Generator(np.random.Philox(key=[seed, 0x48462D43]))
     rows = []
@@ -454,7 +470,7 @@ def _run_hf_check(cfg, seed, workers):
     return rows, [("hellmann-feynman", worst <= 1e-6, f"worst relative error {worst:.3g}")]
 
 
-def _run_ids(cfg, seed, workers):
+def _run_ids(cfg, seed):
     d = cfg.positive_int("d")
     grid = cfg.int_list("L_grid", minimum=0)
     k = cfg.positive_int("k", minimum=0)
@@ -504,11 +520,12 @@ def run_experiment(config: dict, seed_override=None, workers_override=None) -> R
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of: {hint}")
     cfg = ExperimentConfig(kind, config)
     seed = _seed(cfg, seed_override)
+    # validated for compatibility only: every run is serial
     workers = workers_override if workers_override is not None else cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ConfigError(f"{kind}: workers must be a positive integer")
     start = time.perf_counter()
-    rows, verdicts = _RUNNERS[kind](cfg, seed, workers)
+    rows, verdicts = _RUNNERS[kind](cfg, seed)
     wall = time.perf_counter() - start
     columns = sorted({key for row in rows for key in row})
     echo = dict(config)
@@ -612,7 +629,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--assert", dest="assert_verdicts", action="store_true",
                        help="exit 1 when any verdict fails")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="thread count override (never changes numerics)")
+                       help="accepted and validated (positive integer); "
+                            "computation is serial")
     run_p.add_argument("--seed", type=int, default=None, help="master seed override")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.set_defaults(handler=_cmd_run)

@@ -14,7 +14,6 @@ exact enumeration over two-point disorder, together with the directional
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from scipy import stats as sps
 
 from .dists import SiteDistribution, TwoPoint
 from .lattice import (
+    Hamiltonian,
     LatticeCube,
     assemble_hamiltonian,
     enumerate_cube,
@@ -42,6 +42,7 @@ from .testfuncs import (
 from .walks import trace_polynomial_terms
 
 __all__ = [
+    "APPROX_SCHEMES",
     "SampleSet",
     "VarianceReport",
     "FiltrationPlan",
@@ -101,7 +102,7 @@ def _trace_of(H, f) -> float:
             return 0.0
         if g.degree <= 2:
             coeffs = g.as_floats().coefficients
-            diag = np.diag(H.matrix)
+            diag = H.diagonal
             total = 0.0
             if len(coeffs) >= 2 and coeffs[1] != 0.0:
                 total += coeffs[1] * float(np.sum(diag))
@@ -121,7 +122,6 @@ def sample_centered_traces(
     f,
     replicates: int,
     master_seed: int,
-    workers: int = 1,
 ) -> SampleSet:
     """Sample the centered, volume-normalized trace statistic.
 
@@ -133,21 +133,13 @@ def sample_centered_traces(
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     cube = enumerate_cube(d, L)
     traces = np.empty(replicates, dtype=np.float64)
-
-    def run(r: int) -> None:
+    for r in range(replicates):
         field = sample_disorder(dist, cube, master_seed, r)
         H = assemble_hamiltonian(cube, field)
         try:
             traces[r] = _trace_of(H, f)
         except EigensolveError as exc:
             raise EigensolveError(f"replicate {r}: {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(replicates)))
-    else:
-        for r in range(replicates):
-            run(r)
 
     centered = (traces - np.mean(traces)) / math.sqrt(len(cube))
     centered.setflags(write=False)
@@ -171,16 +163,20 @@ class VarianceReport:
     degenerate: bool = False
 
 
+def _variance_and_se(x: np.ndarray) -> tuple[float, float]:
+    """Variance of centered samples with its fourth-moment standard error."""
+    r = len(x)
+    sigma2 = float(np.sum(x * x) / (r - 1))
+    m4 = float(np.mean(x**4))
+    return sigma2, math.sqrt(max(m4 - sigma2 * sigma2, 0.0) / r)
+
+
 def variance_estimate(samples: SampleSet) -> VarianceReport:
     """Variance of the statistic with a fourth-moment standard error."""
     if samples.replicates < 8:
         raise ValueError("variance estimation needs at least 8 replicates")
-    x = samples.values
-    r = len(x)
-    sigma2 = float(np.sum(x * x) / (r - 1))
-    m4 = float(np.mean(x**4))
-    se = math.sqrt(max(m4 - sigma2 * sigma2, 0.0) / r)
-    return VarianceReport(sigma2, se, r)
+    sigma2, se = _variance_and_se(samples.values)
+    return VarianceReport(sigma2, se, len(samples.values))
 
 
 def normality_thresholds(n_samples: int) -> dict:
@@ -252,7 +248,6 @@ def variance_scan(
     L_grid,
     replicates: int,
     master_seed: int,
-    workers: int = 1,
 ) -> ScanReport:
     """Variance estimates along a volume grid with a stabilization verdict.
 
@@ -264,7 +259,7 @@ def variance_scan(
         raise ValueError("variance scans need polynomial degree >= 1")
     reports = []
     for L in L_grid:
-        s = sample_centered_traces(d, L, dist, poly, replicates, master_seed, workers)
+        s = sample_centered_traces(d, L, dist, poly, replicates, master_seed)
         reports.append(variance_estimate(s))
     stabilized = True
     if len(reports) >= 2:
@@ -296,11 +291,12 @@ class ApproxConvergenceReport:
     bounds_decreasing: bool
 
 
+APPROX_SCHEMES = ("bernstein", "chebyshev")
+
+
 def _sigma_and_se(values: np.ndarray) -> tuple[float, float]:
-    r = len(values)
-    sigma2 = float(np.sum(values * values) / (r - 1))
-    m4 = float(np.mean(values**4))
-    se2 = math.sqrt(max(m4 - sigma2 * sigma2, 0.0) / r)
+    """Standard deviation and its delta-method standard error."""
+    sigma2, se2 = _variance_and_se(values)
     sigma = math.sqrt(sigma2)
     se = se2 / (2.0 * sigma) if sigma > 0 else 0.0
     return sigma, se
@@ -317,21 +313,23 @@ def approx_variance_convergence(
     master_seed: int,
     scheme: str = "bernstein",
     norm_replicates: int = 24,
-    workers: int = 1,
 ) -> ApproxConvergenceReport:
     """Compare the statistic of f against its polynomial-primitive surrogates.
 
     For each degree k the derivative of f is approximated on ``interval`` by
-    the chosen constructive scheme, the primitive of that approximant plays
-    the role of the test function, and the difference of the two estimated
-    sigmas is checked against sqrt(8) times the estimated L2 distance of the
-    derivatives in the volume-L weighted measure (plus 3 combined SEs).
+    the chosen constructive scheme (one of ``APPROX_SCHEMES``), the primitive
+    of that approximant plays the role of the test function, and the
+    difference of the two estimated sigmas is checked against sqrt(8) times
+    the estimated L2 distance of the derivatives in the volume-L weighted
+    measure (plus 3 combined SEs).
     One spectrum per replicate feeds all test functions; one modified
     eigensolve per (replicate, site) feeds all norm estimates.
     """
     degrees = list(degrees)
     if degrees != sorted(degrees):
         raise ValueError("degrees must be ascending")
+    if scheme not in APPROX_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {APPROX_SCHEMES}")
     build = bernstein_approx if scheme == "bernstein" else chebyshev_approx
     approximants = [build(f.fprime, interval, k) for k in degrees]
     primitives = [p.antiderivative().as_floats() for p in approximants]
@@ -339,21 +337,13 @@ def approx_variance_convergence(
     cube = enumerate_cube(d, L)
     n_fns = 1 + len(primitives)
     traces = np.empty((replicates, n_fns), dtype=np.float64)
-
-    def run(r: int) -> None:
+    for r in range(replicates):
         field = sample_disorder(dist, cube, master_seed, r)
         H = assemble_hamiltonian(cube, field)
         evals = eigenvalues_sym(H)
         traces[r, 0] = float(np.sum(f.f(evals)))
         for j, q in enumerate(primitives):
             traces[r, 1 + j] = float(np.sum(q(evals)))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(replicates)))
-    else:
-        for r in range(replicates):
-            run(r)
 
     scale = math.sqrt(len(cube))
     centered = (traces - np.mean(traces, axis=0)) / scale
@@ -373,8 +363,6 @@ def approx_variance_convergence(
         1,
         norm_replicates,
         master_seed,
-        None,
-        workers,
     )
 
     rows = []
@@ -456,12 +444,11 @@ class EnumerationEngine:
 
     def trace_table(self, f):
         """(table, exact) pair; table has shape (2,)*N over site choices."""
-        key = label_of(f)
+        exact = isinstance(f, Polynomial) and f.is_exact
+        key = (f, exact)  # Polynomial((0, 1)) == Polynomial((0.0, 1.0))
         if key not in self._tables:
-            if isinstance(f, Polynomial) and f.is_exact:
-                self._tables[key] = (self._exact_table(f), True)
-            else:
-                self._tables[key] = (self._float_table(f), False)
+            table = self._exact_table(f) if exact else self._float_table(f)
+            self._tables[key] = (table, exact)
         return self._tables[key]
 
     def _exact_table(self, poly: Polynomial):
@@ -496,10 +483,7 @@ class EnumerationEngine:
     def _float_table(self, f):
         fn = function_of(f)
         n = self.n_sites
-        base = np.zeros((n, n))
-        pairs = self.cube.neighbor_pairs()
-        base[pairs[:, 0], pairs[:, 1]] = 1.0
-        base[pairs[:, 1], pairs[:, 0]] = 1.0
+        base = Hamiltonian(self.cube, np.zeros(n)).matrix  # the bare Laplacian
         n_cfg = 2**n
         bits = (np.arange(n_cfg)[:, None] >> (n - 1 - np.arange(n))) & 1
         diags = np.where(bits == 0, float(self.value_pair[0]), float(self.value_pair[1]))
@@ -510,7 +494,7 @@ class EnumerationEngine:
             mats = np.broadcast_to(base, (stop - start, n, n)).copy()
             rows = np.arange(n)
             mats[:, rows, rows] = diags[start:stop]
-            evals = np.linalg.eigvalsh(mats)
+            evals = eigenvalues_sym(mats)
             flat[start:stop] = np.sum(
                 np.asarray(fn(evals), dtype=np.float64), axis=1
             )

@@ -9,7 +9,7 @@ the diagonal disorder field.
 
 from __future__ import annotations
 
-import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .dists import SiteDistribution
 
 __all__ = [
     "DEFAULT_SITE_BUDGET",
+    "DENSE_BYTE_BUDGET",
     "LatticeCube",
     "DisorderField",
     "Hamiltonian",
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_SITE_BUDGET = 1_000_000
+# largest dense N x N float64 matrix (in bytes) that may be allocated: 1 GiB
+DENSE_BYTE_BUDGET = 1 << 30
 
 
 class LatticeCube:
@@ -48,8 +51,11 @@ class LatticeCube:
         self.L = L
         self.sites = sites
         self.sites.setflags(write=False)
-        self.index_of = {tuple(int(c) for c in s): i for i, s in enumerate(sites)}
         self._neighbor_pairs = None
+
+    @cached_property
+    def index_of(self) -> dict:
+        return {tuple(int(c) for c in s): i for i, s in enumerate(self.sites)}
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -58,17 +64,19 @@ class LatticeCube:
         return f"LatticeCube(d={self.d}, L={self.L}, sites={len(self)})"
 
     def neighbor_pairs(self) -> np.ndarray:
-        """(m, 2) array of index pairs (i, j), i < j, at l1 distance 1."""
+        """(m, 2) array of index pairs (i, j), i < j, at l1 distance 1.
+
+        In lexicographic order the neighbor one step up along ``axis`` sits
+        (2L+1)^(d-1-axis) rows further down, whenever that coordinate is < L.
+        """
         if self._neighbor_pairs is None:
-            pairs = []
-            for i, site in enumerate(self.sites):
-                for axis in range(self.d):
-                    up = list(site)
-                    up[axis] += 1
-                    j = self.index_of.get(tuple(up))
-                    if j is not None:
-                        pairs.append((i, j))
-            arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+            rows = np.arange(len(self), dtype=np.int64)
+            blocks = []
+            for axis in range(self.d):
+                i = rows[self.sites[:, axis] < self.L]
+                blocks.append(np.stack([i, i + (2 * self.L + 1) ** (self.d - 1 - axis)], axis=1))
+            arr = np.concatenate(blocks)
+            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
             arr.setflags(write=False)
             self._neighbor_pairs = arr
         return self._neighbor_pairs
@@ -76,14 +84,7 @@ class LatticeCube:
     def degree(self, index: int) -> int:
         """Number of cube neighbors of the site at ``index``."""
         site = self.sites[index]
-        count = 0
-        for axis in range(self.d):
-            for step in (-1, 1):
-                nb = list(site)
-                nb[axis] += step
-                if tuple(nb) in self.index_of:
-                    count += 1
-        return count
+        return int(np.sum(site > -self.L) + np.sum(site < self.L))
 
 
 def enumerate_cube(d: int, L: int, max_sites: int = DEFAULT_SITE_BUDGET) -> LatticeCube:
@@ -101,10 +102,8 @@ def enumerate_cube(d: int, L: int, max_sites: int = DEFAULT_SITE_BUDGET) -> Latt
             f"cube with (2*{L}+1)^{d} = {n_sites} sites exceeds the budget of "
             f"{max_sites}"
         )
-    axis = range(-L, L + 1)
-    sites = np.array(
-        list(itertools.product(axis, repeat=d)), dtype=np.int64
-    ).reshape(n_sites, d)
+    grids = np.meshgrid(*[np.arange(-L, L + 1, dtype=np.int64)] * d, indexing="ij")
+    sites = np.stack([g.ravel() for g in grids], axis=1)
     return LatticeCube(d, L, sites)
 
 
@@ -187,18 +186,36 @@ def scale_sites(field: DisorderField, sites, u: float) -> DisorderField:
 
 
 class Hamiltonian:
-    """Dense symmetric matrix of the cube-restricted operator.
+    """The cube-restricted operator: Laplacian plus the diagonal disorder.
 
-    Row/column i corresponds to ``cube.sites[i]``; off-diagonal entries are 1
-    exactly on nearest-neighbor pairs and 0 elsewhere; the diagonal carries the
-    disorder values.
+    Only the diagonal is stored.  Row/column i of ``matrix`` corresponds to
+    ``cube.sites[i]``; off-diagonal entries are 1 exactly on nearest-neighbor
+    pairs and 0 elsewhere.
     """
 
-    def __init__(self, cube: LatticeCube, matrix: np.ndarray, provenance=None):
+    def __init__(self, cube: LatticeCube, diagonal: np.ndarray, provenance=None):
         self.cube = cube
-        self.matrix = matrix
-        self.matrix.setflags(write=False)
+        self.diagonal = np.asarray(diagonal, dtype=np.float64)
+        self.diagonal.setflags(write=False)
         self.provenance = provenance
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix, built on first access and cached read-only; raises
+        ValueError before allocating more than ``DENSE_BYTE_BUDGET`` bytes."""
+        n = len(self.cube)
+        if n * n * 8 > DENSE_BYTE_BUDGET:
+            raise ValueError(
+                f"a dense {n} x {n} matrix needs {n * n * 8} bytes, over the "
+                f"budget of {DENSE_BYTE_BUDGET} bytes"
+            )
+        matrix = np.zeros((n, n), dtype=np.float64)
+        pairs = self.cube.neighbor_pairs()
+        matrix[pairs[:, 0], pairs[:, 1]] = 1.0
+        matrix[pairs[:, 1], pairs[:, 0]] = 1.0
+        matrix[np.arange(n), np.arange(n)] = self.diagonal
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def is_chain(self) -> bool:
@@ -209,7 +226,7 @@ class Hamiltonian:
         """(diagonal, off-diagonal) bands; only valid for chains."""
         if not self.is_chain:
             raise ValueError("tridiagonal form is only available for d = 1")
-        return np.diag(self.matrix).copy(), np.ones(len(self.cube) - 1)
+        return self.diagonal, np.ones(len(self.cube) - 1)
 
 
 def assemble_hamiltonian(cube: LatticeCube, field: DisorderField) -> Hamiltonian:
@@ -221,13 +238,7 @@ def assemble_hamiltonian(cube: LatticeCube, field: DisorderField) -> Hamiltonian
             f"field lives on a (d={field.cube.d}, L={field.cube.L}) cube, "
             f"expected (d={cube.d}, L={cube.L})"
         )
-    n = len(cube)
-    matrix = np.zeros((n, n), dtype=np.float64)
-    pairs = cube.neighbor_pairs()
-    matrix[pairs[:, 0], pairs[:, 1]] = 1.0
-    matrix[pairs[:, 1], pairs[:, 0]] = 1.0
-    matrix[np.arange(n), np.arange(n)] = field.values
-    return Hamiltonian(cube, matrix, provenance=field.provenance)
+    return Hamiltonian(cube, field.values, provenance=field.provenance)
 
 
 def spectrum_support(dist: SiteDistribution, d: int) -> tuple[float, float] | None:

@@ -10,7 +10,6 @@ scaling factor integrated out analytically.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,13 +146,13 @@ def ids_moment_convergence(
     )
 
 
-def _modified_eigh(matrix, diag, site, value, is_chain):
-    """Eigendecomposition of the matrix with one diagonal entry replaced."""
-    if is_chain:
-        new_diag = diag.copy()
+def _modified_eigh(H, site, value):
+    """Eigendecomposition of H with one diagonal entry replaced."""
+    if H.is_chain:
+        new_diag = H.diagonal.copy()
         new_diag[site] = value
-        return eigh_tridiagonal(new_diag, np.ones(len(diag) - 1))
-    work = matrix.copy()
+        return eigh_tridiagonal(new_diag, np.ones(len(new_diag) - 1))
+    work = H.matrix.copy()
     work[site, site] = value
     return np.linalg.eigh(work)
 
@@ -167,7 +166,6 @@ def modified_dos_integral_mc(
     replicates: int,
     master_seed: int,
     u_override: float | None = None,
-    workers: int = 1,
 ):
     """Monte Carlo integrals against the weighted measure of order p at volume L.
 
@@ -186,32 +184,22 @@ def modified_dos_integral_mc(
     cube = enumerate_cube(d, L)
     n_sites = len(cube)
     results = np.empty((replicates, len(fns)), dtype=np.float64)
-
-    def run_replicate(r: int) -> None:
+    for r in range(replicates):
         field = sample_disorder(dist, cube, master_seed, r)
         H = assemble_hamiltonian(cube, field)
-        diag = field.values.copy()
+        diag = field.values
         if u_override is None:
             u = rng.uniform_stream(master_seed, f"umod|{dist.label}", r, n_sites)
         else:
             u = np.full(n_sites, float(u_override))
         acc = np.zeros(len(fns))
         for site in range(n_sites):
-            w, v = _modified_eigh(
-                H.matrix, diag, site, u[site] * diag[site], H.is_chain
-            )
+            w, v = _modified_eigh(H, site, u[site] * diag[site])
             overlaps = np.square(v[site, :])
             weight = diag[site] ** (2 * p)
             for j, fn in enumerate(fns):
                 acc[j] += weight * float(overlaps @ fn(w))
         results[r, :] = acc / n_sites
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_replicate, range(replicates)))
-    else:
-        for r in range(replicates):
-            run_replicate(r)
 
     estimates = []
     for j, fn in enumerate(fns):
@@ -239,11 +227,10 @@ def modified_dos_moment_mc(
     replicates: int,
     master_seed: int,
     u_override: float | None = None,
-    workers: int = 1,
 ) -> MeasureEstimate:
     """Monte Carlo estimate of the k-th moment of the weighted measure."""
     est = modified_dos_integral_mc(
-        lambda x: x**k, d, L, dist, p, replicates, master_seed, u_override, workers
+        lambda x: x**k, d, L, dist, p, replicates, master_seed, u_override
     )
     est.params.update({"k": k})
     return est
@@ -256,7 +243,6 @@ def derivative_sq_norm_mc(
     dist: SiteDistribution,
     replicates: int,
     master_seed: int,
-    workers: int = 1,
 ) -> MeasureEstimate:
     """Estimate of the squared L2 norm of f' against the order-1 weighted measure."""
     est = modified_dos_integral_mc(
@@ -267,8 +253,6 @@ def derivative_sq_norm_mc(
         1,
         replicates,
         master_seed,
-        None,
-        workers,
     )
     est.params.update({"integrand": "fprime_sq"})
     return est

@@ -1,7 +1,9 @@
 """Symmetric eigendecomposition and spectral functional calculus.
 
-All statistics in this package consume the full spectrum; everything here is
-a direct dense (or, for chains, dense-banded) LAPACK solve.  Diagonal matrix
+All statistics in this package consume the full spectrum.  Every solve goes
+through one dispatch: chains use the tridiagonal LAPACK solvers on their two
+bands and never build a dense matrix; other Hamiltonians, raw matrices and
+stacks of raw matrices use the dense symmetric solvers.  Diagonal matrix
 elements <delta_n, f(H) delta_n> come from the eigenvector overlaps, traces
 from the eigenvalues alone.
 """
@@ -44,42 +46,41 @@ class EigenDecomposition:
     source_dim: int
 
 
-def _matrix_and_meta(H):
-    if isinstance(H, Hamiltonian):
-        return H.matrix, H
-    return np.asarray(H, dtype=np.float64), None
+def _dense(H) -> np.ndarray:
+    return H.matrix if isinstance(H, Hamiltonian) else np.asarray(H, dtype=np.float64)
+
+
+def _solve(H, vectors: bool):
+    """Eigenvalues (and eigenvectors) of a Hamiltonian, raw matrix or stack."""
+    chain = isinstance(H, Hamiltonian) and H.is_chain and len(H.cube) > 1
+    matrix = None if chain else _dense(H)
+    try:
+        if chain:
+            diag, off = H.tridiagonal()
+            if vectors:
+                return eigh_tridiagonal(diag, off)
+            return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
+        # numpy's drivers return garbage on NaN/inf input instead of failing
+        matrix = np.asarray_chkfinite(matrix)
+        return np.linalg.eigh(matrix) if vectors else np.linalg.eigvalsh(matrix)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        fingerprint = (
+            H.provenance if isinstance(H, Hamiltonian) else f"dim={matrix.shape[-1]}"
+        )
+        raise EigensolveError(
+            f"symmetric eigensolve failed (matrix fingerprint: {fingerprint})"
+        ) from exc
 
 
 def eig_sym(H) -> EigenDecomposition:
     """Full symmetric eigendecomposition of a Hamiltonian or raw matrix."""
-    matrix, meta = _matrix_and_meta(H)
-    try:
-        if meta is not None and meta.is_chain and len(matrix) > 1:
-            diag, off = meta.tridiagonal()
-            w, v = eigh_tridiagonal(diag, off)
-        else:
-            w, v = np.linalg.eigh(matrix)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        fingerprint = meta.provenance if meta is not None else f"dim={len(matrix)}"
-        raise EigensolveError(
-            f"symmetric eigensolve failed (matrix fingerprint: {fingerprint})"
-        ) from exc
-    return EigenDecomposition(w, v, len(matrix))
+    w, v = _solve(H, vectors=True)
+    return EigenDecomposition(w, v, len(w))
 
 
 def eigenvalues_sym(H) -> np.ndarray:
-    """Ascending eigenvalues only (faster than eig_sym when vectors are unused)."""
-    matrix, meta = _matrix_and_meta(H)
-    try:
-        if meta is not None and meta.is_chain and len(matrix) > 1:
-            diag, off = meta.tridiagonal()
-            return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf")
-        return np.linalg.eigvalsh(matrix)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        fingerprint = meta.provenance if meta is not None else f"dim={len(matrix)}"
-        raise EigensolveError(
-            f"symmetric eigensolve failed (matrix fingerprint: {fingerprint})"
-        ) from exc
+    """Ascending eigenvalues only; ``H`` may also be a stack of raw matrices."""
+    return _solve(H, vectors=False)
 
 
 def spectral_diagonal(dec: EigenDecomposition, f, site_index: int) -> float:
@@ -112,7 +113,6 @@ def hellmann_feynman_check(H, f, site_index: int, h: float) -> HellmannFeynmanRe
     """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    matrix, meta = _matrix_and_meta(H)
     dec = eig_sym(H)
     gaps = np.diff(dec.eigenvalues)
     if len(gaps) and float(np.min(gaps)) < DEGENERACY_GAP:
@@ -123,11 +123,8 @@ def hellmann_feynman_check(H, f, site_index: int, h: float) -> HellmannFeynmanRe
         )
     formula = spectral_diagonal(dec, derivative_of(f), site_index)
 
-    fn = function_of(f)
-    shifted = matrix.copy()
-    shifted[site_index, site_index] = matrix[site_index, site_index] + h
-    plus = float(np.sum(fn(np.linalg.eigvalsh(shifted))))
-    shifted[site_index, site_index] = matrix[site_index, site_index] - h
-    minus = float(np.sum(fn(np.linalg.eigvalsh(shifted))))
+    shifted = np.array([_dense(H)] * 2)
+    shifted[:, site_index, site_index] += (h, -h)
+    plus, minus = np.sum(function_of(f)(eigenvalues_sym(shifted)), axis=1).tolist()
     finite_diff = (plus - minus) / (2.0 * h)
     return HellmannFeynmanResult(formula, finite_diff, abs(formula - finite_diff))

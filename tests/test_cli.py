@@ -259,3 +259,45 @@ def test_compute_error_exits_three(tmp_path, capsys):
     )
     assert main(["run", str(cfg)]) == 3
     assert "compute error" in capsys.readouterr().err
+
+
+_SMALL = {
+    "moments": {"kind": "moments", "d": 1, "k_grid": [0, 2], "ssd": "rademacher"},
+    "nubar": {"kind": "nubar", "d": 1, "L": 1, "R": 2, "k_grid": [2], "ssd": "rademacher"},
+    "approx-convergence": {
+        "kind": "approx-convergence", "d": 1, "L": 2, "R": 8, "degrees": [2],
+        "interval": [-3.0, 3.0], "f": "arctan", "ssd": "rademacher", "norm_replicates": 2,
+    },
+    "clt": {"kind": "clt", "d": 1, "L": 1, "R": 200, "f": "arctan", "ssd": "rademacher"},
+    "hf-check": {"kind": "hf-check", "count": 2, "f": "arctan"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("moments", "p", -1),
+        ("moments", "p", 1.5),
+        ("nubar", "p", -1),
+        ("approx-convergence", "norm_replicates", 1),
+        ("approx-convergence", "norm_replicates", "24"),
+        ("approx-convergence", "interval", [3.0, -3.0]),
+        ("approx-convergence", "interval", [-3.0, float("inf")]),
+        ("clt", "interval", [-3.5]),
+        ("hf-check", "h", 0.0),
+        ("hf-check", "h", float("nan")),
+        ("hf-check", "count", 0),
+        ("moments", "workers", True),
+    ],
+)
+def test_invalid_field_is_config_error(kind, field, value):
+    with pytest.raises(ConfigError, match=field):
+        run_experiment({**_SMALL[kind], field: value})
+
+
+def test_unknown_scheme_exits_two(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "typo.json", {**_SMALL["approx-convergence"], "scheme": "bernstien"}
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "bernstien" in capsys.readouterr().err

@@ -92,12 +92,6 @@ def test_trace_closed_form_matches_eigenvalue_path():
     assert direct == pytest.approx(via_spectrum, rel=1e-11)
 
 
-def test_workers_do_not_change_samples():
-    a = sample_centered_traces(1, 30, rademacher(), catalog()["arctan"], 24, 2, workers=1)
-    b = sample_centered_traces(1, 30, rademacher(), catalog()["arctan"], 24, 2, workers=4)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_sample_requires_two_replicates():
     with pytest.raises(ValueError):
         sample_centered_traces(1, 5, rademacher(), X, 1, 0)
@@ -273,6 +267,14 @@ def test_approx_convergence_requires_ascending_degrees():
         )
 
 
+def test_approx_convergence_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="bernstien"):
+        approx_variance_convergence(
+            catalog()["arctan"], [4], (-3, 3), 1, 2, rademacher(), 8, 0,
+            scheme="bernstien",
+        )
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -295,6 +297,13 @@ def test_exact_variance_cubic_regression_fixture():
     ev = exact_variance(eng, X3)
     assert ev.variance == 179
     assert ev.second_moment_normalized == Fraction(179, 5)
+
+
+def test_trace_table_cache_distinguishes_lambdas():
+    # every lambda has the same __name__; the cache must not conflate them
+    eng = EnumerationEngine(enumerate_cube(1, 2), rademacher())
+    assert exact_variance(eng, lambda x: x).variance == pytest.approx(5.0, rel=1e-12)
+    assert exact_variance(eng, lambda x: x**3).variance == pytest.approx(179.0, rel=1e-11)
 
 
 def test_exact_variance_float_path_agrees():

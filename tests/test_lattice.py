@@ -149,6 +149,39 @@ def test_hamiltonian_invariants():
         assert int(np.sum(off[i] == 1.0)) == cube.degree(i)
 
 
+@pytest.mark.parametrize("d, L", [(1, 0), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+def test_neighbor_pairs_match_brute_force_order(d, L):
+    cube = enumerate_cube(d, L)
+    expected = [
+        (i, j)
+        for i in range(len(cube))
+        for j in range(i + 1, len(cube))
+        if int(np.sum(np.abs(cube.sites[i] - cube.sites[j]))) == 1
+    ]
+    assert cube.neighbor_pairs().tolist() == [list(p) for p in expected]
+    assert cube.neighbor_pairs().shape == (len(expected), 2)
+
+
+def test_dense_matrix_guarded_by_bytes_before_allocation():
+    import tracemalloc
+
+    from andersonclt import eigenvalues_sym
+
+    cube = enumerate_cube(2, 499)  # within the site budget
+    H = assemble_hamiltonian(cube, sample_disorder(rademacher(), cube, 0, 0))
+    n = len(cube)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n * n * 8} bytes"):
+            H.matrix
+        with pytest.raises(ValueError, match=f"{n * n * 8} bytes"):
+            eigenvalues_sym(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_field_cube_mismatch():
     small = enumerate_cube(1, 1)
     big = enumerate_cube(1, 2)

@@ -192,10 +192,3 @@ def test_exact_moments_require_exact_distribution():
 
     with pytest.raises(ValueError, match="rational"):
         modified_dos_moment_exact(1, 2, Gaussian(0, 1), 1, 2)
-
-
-def test_workers_do_not_change_numerics():
-    r = rademacher()
-    a = modified_dos_moment_mc(1, 5, r, 1, 2, replicates=16, master_seed=2, workers=1)
-    b = modified_dos_moment_mc(1, 5, r, 1, 2, replicates=16, master_seed=2, workers=4)
-    assert a.value == b.value and a.std_error == b.std_error

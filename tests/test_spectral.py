@@ -191,18 +191,33 @@ def test_hellmann_feynman_rejects_bad_step():
 
 
 def test_eigensolve_failure_carries_fingerprint():
-    from andersonclt.spectral import EigensolveError, eig_sym as solve
-
-    cube = enumerate_cube(1, 1)
-    bad = DisorderField(cube, np.zeros(3), None)
-    H = assemble_hamiltonian(cube, bad)
-    broken = H.matrix.copy()
-    broken[0, 0] = np.nan
     from andersonclt.lattice import Hamiltonian
+    from andersonclt.spectral import EigensolveError
 
-    wrapped = Hamiltonian(cube, broken, provenance=(123, 4, "two_point(1,-1,1/2)"))
-    with pytest.raises(EigensolveError, match="123"):
-        solve(wrapped)
+    # d = 1 goes through the tridiagonal solvers, d = 2 through the dense ones
+    for d in (1, 2):
+        cube = enumerate_cube(d, 1)
+        broken = np.zeros(len(cube))
+        broken[0] = np.nan
+        wrapped = Hamiltonian(cube, broken, provenance=(123, 4, "two_point(1,-1,1/2)"))
+        for solve in (eig_sym, eigenvalues_sym):
+            with pytest.raises(EigensolveError, match="123"):
+                solve(wrapped)
+
+
+def test_chain_solve_never_goes_dense():
+    import tracemalloc
+
+    cube = enumerate_cube(1, 2000)
+    field = sample_disorder(rademacher(), cube, 3, 0)
+    tracemalloc.start()
+    try:
+        evals = eigenvalues_sym(assemble_hamiltonian(cube, field))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(evals) == len(cube)
+    assert peak < 256 * len(cube)  # a dense matrix would take 8 * N^2 bytes
 
 
 def test_trace_shift_identity():
