@@ -17,7 +17,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +43,30 @@ KINDS = (
 
 CONFIG_SCHEMA = {
     "kind": f"experiment kind, one of {', '.join(KINDS)}",
-    "d": "lattice dimension (>= 1)",
+    "d": "lattice dimension (>= 1; <= 4 for ids)",
     "L": "cube half-side (>= 0); some kinds use L_grid instead",
-    "L_grid": "ascending list of half-sides (variance-scan, ids)",
+    "L_grid": "strictly ascending list of half-sides (variance-scan, ids)",
     "ssd": "site distribution: 'rademacher' or {kind: two_point|uniform|gaussian, ...}",
-    "f": "test function: catalog name or {poly: [ascending coefficients]}",
+    "f": (
+        "test function: catalog name or {poly: [coefficients]}, lowest degree "
+        "first, each an integer or a finite float"
+    ),
     "R": "number of replicates",
     "p": "weight order of the modified measure, integer >= 0 (moments, nubar)",
     "k": "moment order; some kinds use k_grid",
-    "k_grid": "list of moment orders (moments, nubar, ids)",
+    "k_grid": "list of moment orders (moments, nubar)",
     "degrees": "ascending polynomial degrees (approx-convergence)",
     "interval": "[lo, hi] approximation/monotonicity interval, finite lo < hi",
+    "scheme": (
+        f"approximation scheme, one of {', '.join(clt.APPROX_SCHEMES)} "
+        "(approx-convergence; default bernstein)"
+    ),
+    "norm_replicates": (
+        "replicates of the weighted-measure norm estimate, integer >= 2 "
+        "(approx-convergence; default 24)"
+    ),
+    "h": "finite-difference step, finite number > 0 (hf-check; default 1e-4)",
+    "count": "number of random test matrices, integer >= 1 (hf-check; default 100)",
     "master_seed": (
         "integer seed; with the seed fixed, every result is a pure function "
         "of the config and is bit-identical for any worker count"
@@ -95,7 +107,7 @@ class ExperimentConfig:
         if (
             not isinstance(value, list)
             or not value
-            or not all(isinstance(v, int) and v >= minimum for v in value)
+            or not all(type(v) is int and v >= minimum for v in value)
         ):
             raise ConfigError(
                 f"{self.kind}: field '{field}' must be a non-empty list of integers >= {minimum}"
@@ -112,6 +124,15 @@ class ExperimentConfig:
 
 def _finite(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
+
+
+def _ascending(cfg: ExperimentConfig, field, minimum=0, strict=False):
+    """An integer list field that must be ascending (strictly: no repeats)."""
+    values = cfg.int_list(field, minimum)
+    if values != sorted(set(values) if strict else values):
+        order = "strictly ascending" if strict else "ascending"
+        raise ConfigError(f"{cfg.kind}: field '{field}' must be {order}")
+    return values
 
 
 @dataclass
@@ -132,8 +153,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -149,8 +168,10 @@ def _parse_test_function(cfg: ExperimentConfig, field="f"):
         return cat[spec]
     if isinstance(spec, dict) and "poly" in spec:
         coeffs = spec["poly"]
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{cfg.kind}: 'f.poly' must be a non-empty coefficient list")
+        if not isinstance(coeffs, list) or not coeffs or not all(map(_finite, coeffs)):
+            raise ConfigError(
+                f"{cfg.kind}: 'f.poly' must be a non-empty list of integers or finite floats"
+            )
         return Polynomial(tuple(coeffs))
     raise ConfigError(f"{cfg.kind}: field '{field}' must be a catalog name or {{'poly': [...]}}")
 
@@ -237,7 +258,7 @@ def _run_clt(cfg, seed):
 
 def _run_variance_scan(cfg, seed):
     d = cfg.positive_int("d")
-    grid = cfg.int_list("L_grid", minimum=0)
+    grid = _ascending(cfg, "L_grid", strict=True)
     R = cfg.positive_int("R", minimum=8)
     dist = _parse_dist(cfg)
     f = _parse_test_function(cfg)
@@ -264,7 +285,7 @@ def _run_approx_convergence(cfg, seed):
     d = cfg.positive_int("d")
     L = cfg.positive_int("L", minimum=0)
     R = cfg.positive_int("R", minimum=8)
-    degrees = cfg.int_list("degrees", minimum=1)
+    degrees = _ascending(cfg, "degrees", minimum=1)
     interval = cfg.interval()
     scheme = cfg.get("scheme", "bernstein")
     if scheme not in clt.APPROX_SCHEMES:
@@ -472,7 +493,9 @@ def _run_hf_check(cfg, seed):
 
 def _run_ids(cfg, seed):
     d = cfg.positive_int("d")
-    grid = cfg.int_list("L_grid", minimum=0)
+    if d > 4:  # coordinate-keyed sampling packs at most 4 coordinates
+        raise ConfigError("ids: field 'd' must be <= 4")
+    grid = _ascending(cfg, "L_grid", strict=True)
     k = cfg.positive_int("k", minimum=0)
     dist = _parse_dist(cfg)
     rep = measures.ids_moment_convergence(d, dist, k, grid, seed)

@@ -419,10 +419,14 @@ class FiltrationPlan:
 class EnumerationEngine:
     """Exact expectations over all configurations of two-point disorder.
 
-    Holds the full 2^N configuration table (N <= ``max_sites``) with exact
-    rational probabilities.  Trace tables are exact rationals for polynomial
-    test functions (finite-volume walk expansion) and floats (batched
-    eigensolves) otherwise.
+    Configuration c (0 <= c < 2^N) gives site i the value ``b`` when bit
+    N-1-i of c is set and ``a`` otherwise.  ``choices`` is that (2^N, N)
+    site-choice array, built once; every trace table is a column over it,
+    reshaped to (2,)*N with one axis per site in cube order.  Tables are
+    exact rationals (object dtype) for exact polynomial test functions
+    (finite-volume walk expansion) and floats (batched eigensolves)
+    otherwise.  The dtype alone says which, and every expectation of a table
+    uses exact probabilities exactly when the table is exact.
     """
 
     def __init__(self, cube: LatticeCube, dist: TwoPoint, max_sites: int = 20):
@@ -434,26 +438,26 @@ class EnumerationEngine:
             )
         self.cube = cube
         self.dist = dist
-        self.n_sites = len(cube)
-        self.shape = (2,) * self.n_sites
+        self.n_sites = n = len(cube)
+        self.shape = (2,) * n
         self.prob_pair = (dist.prob_a, 1 - dist.prob_a)
         self.value_pair = (dist.a, dist.b)
+        configs = np.arange(2**n, dtype=np.uint32)[:, None]
+        self.choices = ((configs >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1).astype(np.uint8)
         self._tables: dict = {}
 
     # -- trace tables ------------------------------------------------------
 
-    def trace_table(self, f):
-        """(table, exact) pair; table has shape (2,)*N over site choices."""
+    def trace_table(self, f) -> np.ndarray:
+        """Tr f(H) per configuration, shape (2,)*N; object dtype when exact."""
         exact = isinstance(f, Polynomial) and f.is_exact
         key = (f, exact)  # Polynomial((0, 1)) == Polynomial((0.0, 1.0))
         if key not in self._tables:
-            table = self._exact_table(f) if exact else self._float_table(f)
-            self._tables[key] = (table, exact)
+            self._tables[key] = self._exact_table(f) if exact else self._float_table(f)
         return self._tables[key]
 
-    def _exact_table(self, poly: Polynomial):
+    def _exact_table(self, poly: Polynomial) -> np.ndarray:
         merged: dict = {}
-        const = poly.coefficients[0] * self.n_sites
         for power in range(1, poly.degree + 1):
             coeff = poly.coefficients[power]
             if coeff == 0:
@@ -462,74 +466,68 @@ class EnumerationEngine:
                 self.cube.d, self.cube.L, power
             ).items():
                 merged[key] = merged.get(key, 0) + coeff * c
-        site_axis = self.cube.index_of
-        # per-site powers of the two values, up to the max exponent present
-        max_exp = max((max((e for _, e in key), default=0) for key in merged), default=0)
-        powers = [
-            [self.value_pair[choice] ** e for e in range(max_exp + 1)]
-            for choice in (0, 1)
-        ]
-        table = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(self.shape):
-            total = Fraction(const)
-            for key, coeff in merged.items():
-                term = coeff
-                for site, exp in key:
-                    term *= powers[idx[site_axis[site]]][exp]
-                total += term
-            table[idx] = total
-        return table
+        # each monomial is a product of site columns over all configurations;
+        # integral values stay ints, whose arithmetic is far faster than Fraction's
+        pair = np.array(
+            [int(v) if v.denominator == 1 else v for v in self.value_pair], dtype=object
+        )
+        table = np.zeros(len(self.choices), dtype=object)
+        for key, coeff in merged.items():
+            term = coeff
+            for site, exp in key:
+                term = term * (pair**exp)[self.choices[:, self.cube.index(site)]]
+            table += term
+        const = Fraction(poly.coefficients[0] * self.n_sites)
+        return (table + const).reshape(self.shape)
 
-    def _float_table(self, f):
+    def _float_table(self, f) -> np.ndarray:
         fn = function_of(f)
         n = self.n_sites
         base = Hamiltonian(self.cube, np.zeros(n)).matrix  # the bare Laplacian
-        n_cfg = 2**n
-        bits = (np.arange(n_cfg)[:, None] >> (n - 1 - np.arange(n))) & 1
-        diags = np.where(bits == 0, float(self.value_pair[0]), float(self.value_pair[1]))
-        flat = np.empty(n_cfg)
+        diags = np.array(self.value_pair, dtype=np.float64)[self.choices]
+        flat = np.empty(len(diags))
+        rows = np.arange(n)
         chunk = 4096
-        for start in range(0, n_cfg, chunk):
-            stop = min(start + chunk, n_cfg)
-            mats = np.broadcast_to(base, (stop - start, n, n)).copy()
-            rows = np.arange(n)
-            mats[:, rows, rows] = diags[start:stop]
+        for start in range(0, len(diags), chunk):
+            block = diags[start : start + chunk]
+            mats = np.broadcast_to(base, (len(block), n, n)).copy()
+            mats[:, rows, rows] = block
             evals = eigenvalues_sym(mats)
-            flat[start:stop] = np.sum(
+            flat[start : start + chunk] = np.sum(
                 np.asarray(fn(evals), dtype=np.float64), axis=1
             )
         return flat.reshape(self.shape)
 
     # -- exact conditional expectations -------------------------------------
 
-    def _probs(self, exact: bool):
-        if exact:
-            return self.prob_pair
-        return (float(self.prob_pair[0]), float(self.prob_pair[1]))
-
-    def conditional_expectation(self, table, keep_axes, exact: bool):
+    def conditional_expectation(self, table, keep_axes):
         """Average out every axis not in ``keep_axes`` (singleton dims kept)."""
-        p0, p1 = self._probs(exact)
+        p0, p1 = self.prob_pair
+        if table.dtype != object:
+            p0, p1 = float(p0), float(p1)
         out = table
         for ax in range(self.n_sites):
             if ax in keep_axes or out.shape[ax] == 1:
                 continue
-            lo = [slice(None)] * self.n_sites
-            hi = [slice(None)] * self.n_sites
-            lo[ax] = slice(0, 1)
-            hi[ax] = slice(1, 2)
-            out = p0 * out[tuple(lo)] + p1 * out[tuple(hi)]
+            lo, hi = np.split(out, 2, axis=ax)
+            out = p0 * lo + p1 * hi
         return out
 
-    def expectation(self, table, exact: bool):
+    def expectation(self, table):
         """Full expectation (handles broadcast singleton axes)."""
-        out = self.conditional_expectation(table, frozenset(), exact)
-        return out.reshape(-1)[0]
+        return self.conditional_expectation(table, frozenset()).reshape(-1)[0]
 
     def half_space_axes(self, axis: int, level: int) -> frozenset:
         """Indices of sites whose ``axis`` coordinate is <= ``level``."""
         mask = self.cube.sites[:, axis] <= level
         return frozenset(np.nonzero(mask)[0].tolist())
+
+
+def _centered_moments(engine: EnumerationEngine, table):
+    """(mean, centered table, variance) of a trace table."""
+    mean = engine.expectation(table)
+    centered = table - mean
+    return mean, centered, engine.expectation(centered * centered)
 
 
 @dataclass(frozen=True)
@@ -546,11 +544,9 @@ def exact_variance(engine: EnumerationEngine, f) -> ExactVariance:
     Enumeration centers by the true mean, so the normalized value is exactly
     the second moment of the centered statistic.
     """
-    table, exact = engine.trace_table(f)
-    mean = engine.expectation(table, exact)
-    centered = table - mean
-    variance = engine.expectation(centered * centered, exact)
-    return ExactVariance(variance, mean, variance / engine.n_sites, exact)
+    table = engine.trace_table(f)
+    mean, _, variance = _centered_moments(engine, table)
+    return ExactVariance(variance, mean, variance / engine.n_sites, table.dtype == object)
 
 
 @dataclass(frozen=True)
@@ -570,43 +566,37 @@ def martingale_decomposition(
 ) -> MartingaleReport:
     """Decompose Tr f(H) - E into conditional-expectation differences.
 
-    Conditioning adds one site at a time in the plan's order.  Verifies,
-    exactly over the enumeration, that the differences sum to the centered
-    trace pointwise, that distinct differences are uncorrelated, and that
-    their second moments sum to the variance.
+    Conditioning adds one site at a time in the plan's order.  By the tower
+    property each level comes from the next finer one by averaging out a
+    single site.  Verifies, exactly over the enumeration, that the
+    differences sum to the centered trace pointwise, that distinct
+    differences are uncorrelated, and that their second moments sum to the
+    variance.
     """
     if plan is None:
         plan = FiltrationPlan.site_order(engine.cube)
     if plan.mode != "site_order":
         raise ValueError("martingale decomposition needs a site_order plan")
-    table, exact = engine.trace_table(f)
+    table = engine.trace_table(f)
+    _, centered, variance = _centered_moments(engine, table)
     order = plan.order
 
-    levels = [None] * (engine.n_sites + 1)
-    keep: set[int] = set()
-    levels[0] = engine.conditional_expectation(table, frozenset(), exact)
-    for k in range(1, engine.n_sites + 1):
-        keep.add(order[k - 1])
-        levels[k] = (
-            table if k == engine.n_sites
-            else engine.conditional_expectation(table, frozenset(keep), exact)
-        )
+    # levels[k] = E[trace | sites order[:k]]
+    levels = [table]
+    for k in range(engine.n_sites, 0, -1):
+        levels.append(engine.conditional_expectation(levels[-1], frozenset(order[: k - 1])))
+    levels.reverse()
     diffs = [levels[k] - levels[k - 1] for k in range(1, engine.n_sites + 1)]
 
-    centered = table - levels[0]
-    variance = engine.expectation(centered * centered, exact)
-    second_moments = tuple(engine.expectation(dk * dk, exact) for dk in diffs)
+    second_moments = tuple(engine.expectation(dk * dk) for dk in diffs)
     total = sum(second_moments)
-
-    resid = -centered
-    for dk in diffs:
-        resid = resid + dk
-    max_resid = float(np.max(np.abs(np.broadcast_to(resid, engine.shape).astype(np.float64))))
+    resid = sum(diffs, -centered)
+    max_resid = float(np.max(np.abs(resid.astype(np.float64))))
 
     max_cross = 0.0
     for i in range(len(diffs)):
         for j in range(i + 1, len(diffs)):
-            cross = engine.expectation(diffs[i] * diffs[j], exact)
+            cross = engine.expectation(diffs[i] * diffs[j])
             max_cross = max(max_cross, abs(float(cross)))
 
     return MartingaleReport(
@@ -617,7 +607,7 @@ def martingale_decomposition(
         max_cross_term=max_cross,
         max_pointwise_residual=max_resid,
         identity_residual=abs(float(variance - total)),
-        exact=exact,
+        exact=table.dtype == object,
     )
 
 
@@ -657,23 +647,18 @@ def directional_decomposition(
             f"half-side L={L} is too small for degree {p} (2L-2p+1 = {span} < 1)"
         )
 
-    table, exact = engine.trace_table(poly)
-    mean = engine.expectation(table, exact)
-    centered = table - mean
-    variance = engine.expectation(centered * centered, exact)
+    table = engine.trace_table(poly)
+    exact = table.dtype == object
+    _, _, variance = _centered_moments(engine, table)
 
     lo, hi = plan.levels
     running = table
     depth_moments = []
     for axis in plan.axes:
-        upper = engine.conditional_expectation(
-            running, engine.half_space_axes(axis, hi), exact
-        )
-        lower = engine.conditional_expectation(
-            running, engine.half_space_axes(axis, lo), exact
-        )
+        upper = engine.conditional_expectation(running, engine.half_space_axes(axis, hi))
+        lower = engine.conditional_expectation(running, engine.half_space_axes(axis, lo))
         running = upper - lower
-        depth_moments.append(engine.expectation(running * running, exact))
+        depth_moments.append(engine.expectation(running * running))
 
     factor = span ** engine.cube.d
     bound = factor * depth_moments[-1]

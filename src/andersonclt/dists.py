@@ -80,9 +80,6 @@ class SiteDistribution:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class TwoPoint(SiteDistribution):
@@ -130,14 +127,6 @@ class TwoPoint(SiteDistribution):
     @property
     def label(self) -> str:
         return f"two_point({self.a},{self.b},{self.prob_a})"
-
-    def to_config(self) -> dict:
-        return {
-            "kind": "two_point",
-            "a": str(self.a),
-            "b": str(self.b),
-            "prob_a": str(self.prob_a),
-        }
 
 
 @dataclass(frozen=True)
@@ -189,9 +178,6 @@ class Uniform(SiteDistribution):
     @property
     def label(self) -> str:
         return f"uniform({self.lo},{self.hi})"
-
-    def to_config(self) -> dict:
-        return {"kind": "uniform", "lo": str(self.lo), "hi": str(self.hi)}
 
 
 @dataclass(frozen=True)
@@ -263,9 +249,6 @@ class Gaussian(SiteDistribution):
     @property
     def label(self) -> str:
         return f"gaussian({self.mean!r},{self.std!r})"
-
-    def to_config(self) -> dict:
-        return {"kind": "gaussian", "mean": self.mean, "std": self.std}
 
 
 def rademacher() -> TwoPoint:

@@ -43,7 +43,8 @@ class LatticeCube:
         d: dimension (>= 1).
         L: half-side (>= 0); the cube has (2L+1)^d sites.
         sites: (N, d) int array, rows sorted lexicographically.
-        index_of: coordinate tuple -> row index.
+
+    ``index(site)`` maps coordinates back to their row by stride arithmetic.
     """
 
     def __init__(self, d: int, L: int, sites: np.ndarray):
@@ -53,9 +54,19 @@ class LatticeCube:
         self.sites.setflags(write=False)
         self._neighbor_pairs = None
 
-    @cached_property
-    def index_of(self) -> dict:
-        return {tuple(int(c) for c in s): i for i, s in enumerate(self.sites)}
+    def index(self, site) -> int:
+        """Row of ``site``: the base-(2L+1) number with digits ``c + L``.
+
+        Raises KeyError for a site outside the cube or with other than d
+        coordinates.
+        """
+        coords = tuple(site)
+        if len(coords) != self.d or not all(c == int(c) and abs(c) <= self.L for c in coords):
+            raise KeyError(site)
+        row = 0
+        for c in coords:
+            row = row * (2 * self.L + 1) + int(c) + self.L
+        return row
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -137,7 +148,7 @@ class DisorderField:
         self.lineage = lineage
 
     def value_at(self, site) -> float:
-        return float(self.values[self.cube.index_of[tuple(site)]])
+        return float(self.values[self.cube.index(site)])
 
 
 def sample_disorder(
@@ -172,10 +183,10 @@ def scale_sites(field: DisorderField, sites, u: float) -> DisorderField:
     count = 0
     for site in sites:
         key = tuple(int(c) for c in np.atleast_1d(site))
-        idx = field.cube.index_of.get(key)
-        if idx is None:
-            raise ValueError(f"site {key} is outside the cube")
-        values[idx] *= u
+        try:
+            values[field.cube.index(key)] *= u
+        except KeyError:
+            raise ValueError(f"site {key} is outside the cube") from None
         count += 1
     return DisorderField(
         field.cube,

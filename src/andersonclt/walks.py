@@ -79,18 +79,6 @@ class WalkPolynomial:
         base = tuple(c + s for c, s in zip(self.base, shift))
         return WalkPolynomial(self.d, self.k, base, self.volume, moved)
 
-    def exponent_at(self, site: tuple) -> dict[MonomialKey, tuple[int, int]]:
-        """Per-monomial (exponent at ``site``, coefficient) view."""
-        out = {}
-        for key, coeff in self.terms.items():
-            exp = 0
-            for s, e in key:
-                if s == site:
-                    exp = e
-                    break
-            out[key] = (exp, coeff)
-        return out
-
 
 def _bump(key: MonomialKey, site: tuple) -> MonomialKey:
     entries = dict(key)

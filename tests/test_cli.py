@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from andersonclt.cli import ConfigError, main, run_experiment
+from andersonclt.cli import CONFIG_SCHEMA, KINDS, ConfigError, main, run_experiment
 
 
 def write_config(tmp_path, name, payload):
@@ -270,6 +270,17 @@ _SMALL = {
     },
     "clt": {"kind": "clt", "d": 1, "L": 1, "R": 200, "f": "arctan", "ssd": "rademacher"},
     "hf-check": {"kind": "hf-check", "count": 2, "f": "arctan"},
+    "variance-scan": {
+        "kind": "variance-scan", "d": 1, "L_grid": [1, 2], "R": 8, "f": {"poly": [0, 1]},
+        "ssd": "rademacher",
+    },
+    "ids": {"kind": "ids", "d": 1, "k": 2, "L_grid": [1, 2], "ssd": "rademacher"},
+    "martingale": {
+        "kind": "martingale", "d": 1, "L": 1, "f": {"poly": [0, 1]}, "ssd": "rademacher",
+    },
+    "directional": {
+        "kind": "directional", "d": 1, "L": 1, "f": {"poly": [0, 1]}, "ssd": "rademacher",
+    },
 }
 
 
@@ -288,11 +299,48 @@ _SMALL = {
         ("hf-check", "h", float("nan")),
         ("hf-check", "count", 0),
         ("moments", "workers", True),
+        ("clt", "f", {"poly": ["a", 1]}),
+        ("clt", "f", {"poly": [0, True]}),
+        ("clt", "f", {"poly": [0, float("nan")]}),
+        ("variance-scan", "L_grid", [True, 3]),
+        ("moments", "k_grid", [True, 2]),
+        ("variance-scan", "L_grid", [3, 1]),
+        ("ids", "L_grid", [2, 2]),
+        ("approx-convergence", "degrees", [4, 2]),
+        ("ids", "d", 5),
     ],
 )
 def test_invalid_field_is_config_error(kind, field, value):
     with pytest.raises(ConfigError, match=field):
         run_experiment({**_SMALL[kind], field: value})
+
+
+class _RecordingConfig(dict):
+    """A config that records every key the runner reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_field_read_is_in_schema(kind):
+    config = _RecordingConfig(_SMALL[kind])
+    run_experiment(config)
+    assert "kind" in config.read
+    assert config.read <= set(CONFIG_SCHEMA), config.read - set(CONFIG_SCHEMA)
 
 
 def test_unknown_scheme_exits_two(tmp_path, capsys):

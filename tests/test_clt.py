@@ -314,6 +314,18 @@ def test_exact_variance_float_path_agrees():
     assert float(exact.variance) == pytest.approx(floaty.variance, rel=1e-11)
 
 
+def test_exact_and_float_tables_agree_entrywise():
+    # both builders must lay the configurations out identically
+    dist = TwoPoint(Fraction(1, 3), -2, Fraction(1, 5))
+    eng = EnumerationEngine(enumerate_cube(2, 1), dist)
+    P = Polynomial((1, -2, 0, 3))
+    exact = eng.trace_table(P)
+    floaty = eng.trace_table(P.as_floats())
+    assert exact.dtype == object and floaty.dtype == np.float64
+    assert exact.shape == floaty.shape == (2,) * 9
+    assert np.max(np.abs(exact.astype(np.float64) - floaty)) <= 1e-9
+
+
 def test_enumeration_requires_two_point_and_budget():
     with pytest.raises(TypeError):
         EnumerationEngine(enumerate_cube(1, 2), Uniform(-1, 1))
@@ -354,6 +366,26 @@ def test_martingale_respects_custom_order():
     rep = martingale_decomposition(eng, X3, plan)
     assert rep.variance == rep.sum_sq_differences
     assert rep.max_cross_term == 0.0
+
+
+def test_martingale_terms_match_direct_conditioning():
+    # levels built by the tower property against conditioning the full table
+    dist = TwoPoint(Fraction(1, 3), -2, Fraction(1, 5))
+    eng = EnumerationEngine(enumerate_cube(2, 1), dist)
+    order = (4, 0, 8, 2, 6, 1, 7, 3, 5)
+    rep = martingale_decomposition(eng, X3, FiltrationPlan.site_order(eng.cube, order))
+    table = eng.trace_table(X3)
+    levels = [
+        eng.conditional_expectation(table, frozenset(order[:k]))
+        for k in range(eng.n_sites + 1)
+    ]
+    want = tuple(
+        eng.expectation((fine - coarse) * (fine - coarse))
+        for coarse, fine in zip(levels, levels[1:])
+    )
+    assert rep.exact
+    assert rep.per_term_second_moments == want
+    assert rep.variance == rep.sum_sq_differences
 
 
 def test_filtration_plan_validation():

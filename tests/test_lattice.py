@@ -46,7 +46,11 @@ def test_cube_bijection_and_order(d, L):
     rows = [tuple(s) for s in cube.sites.tolist()]
     assert rows == sorted(rows)  # lexicographic
     for i, site in enumerate(rows):
-        assert cube.index_of[site] == i
+        assert cube.index(site) == i
+    # arithmetic alone would map these to valid rows
+    for bad in ((L + 1,) + (0,) * (d - 1), (-L - 1,) * d, (0,) * (d + 1), (0,) * (d - 1)):
+        with pytest.raises(KeyError):
+            cube.index(bad)
 
 
 def test_adjacency_is_l1_distance_one():
@@ -98,7 +102,7 @@ def test_scale_sites():
     assert np.all(zero.values == 0.0)
 
     half = scale_sites(field, [(1,)], 0.5)
-    idx = cube.index_of[(1,)]
+    idx = cube.index((1,))
     expected = field.values.copy()
     expected[idx] *= 0.5
     assert np.array_equal(half.values, expected)
@@ -130,7 +134,7 @@ def test_assemble_2d_interior_degree():
     cube = enumerate_cube(2, 1)
     field = sample_disorder(rademacher(), cube, 0, 0)
     H = assemble_hamiltonian(cube, field)
-    center = cube.index_of[(0, 0)]
+    center = cube.index((0, 0))
     row = H.matrix[center].copy()
     row[center] = 0.0  # ignore the diagonal, only count hops
     assert np.sum(row == 1.0) == 4
@@ -201,14 +205,14 @@ def test_locality_of_polynomial_diagonal():
     big = enumerate_cube(1, 9)
     pad = sample_disorder(Uniform(-5, 5), big, 99, 1).values.copy()
     for i, site in enumerate(small.sites):
-        pad[big.index_of[tuple(site)]] = field.values[i]
+        pad[big.index(tuple(site))] = field.values[i]
     H_big = assemble_hamiltonian(big, DisorderField(big, pad, None)).matrix
 
     P_small = np.linalg.matrix_power(H_small, p)
     P_big = np.linalg.matrix_power(H_big, p)
     for i in interior_cube(small, p):
         site = tuple(small.sites[i])
-        assert P_small[i, i] == pytest.approx(P_big[big.index_of[site], big.index_of[site]], abs=1e-12)
+        assert P_small[i, i] == pytest.approx(P_big[big.index(site), big.index(site)], abs=1e-12)
 
 
 def test_nested_disorder_restriction():
@@ -218,7 +222,7 @@ def test_nested_disorder_restriction():
     f_small = nested_disorder(dist, small, 31)
     f_big = nested_disorder(dist, big, 31)
     for i, site in enumerate(small.sites):
-        assert f_small.values[i] == f_big.values[big.index_of[tuple(site)]]
+        assert f_small.values[i] == f_big.values[big.index(tuple(site))]
 
 
 def test_spectrum_support():

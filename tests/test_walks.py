@@ -65,7 +65,7 @@ def test_expansion_against_numeric_matrix_power():
         H = assemble_hamiltonian(cube, field).matrix
         power = np.linalg.matrix_power(H, k)
         wp = moment_polynomial(d, k)
-        origin = cube.index_of[(0,) * d]
+        origin = cube.index((0,) * d)
         assert float(wp.evaluate(field)) == pytest.approx(power[origin, origin], rel=1e-12)
 
 
@@ -123,8 +123,8 @@ def test_unit_potential_evaluation_bound():
         H = assemble_hamiltonian(
             cube, DisorderField(cube, np.ones(len(cube)), None)
         ).matrix
-        numeric = np.linalg.matrix_power(H, k)[cube.index_of[(0,) * d]][
-            cube.index_of[(0,) * d]
+        numeric = np.linalg.matrix_power(H, k)[cube.index((0,) * d)][
+            cube.index((0,) * d)
         ]
         assert value == pytest.approx(numeric, rel=1e-12)
 
