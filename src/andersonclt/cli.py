@@ -149,6 +149,8 @@ class RunReport:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):  # numpy 2 reprs np.float64(x) as such
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

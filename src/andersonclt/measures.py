@@ -4,8 +4,8 @@ The weighted measure of order p at volume L averages, over all cube sites n,
 the spectral measure of the operator whose coupling at n is scaled by a
 uniform[0,1] factor, weighted by (site value)^(2p).  Monte Carlo estimators
 draw the scaling factor fresh per (replicate, site) and do one eigensolve per
-modified matrix; the exact twin sums finite-volume walk polynomials with the
-scaling factor integrated out analytically.
+modified matrix; the exact twin sums finite-volume walk polynomials, one per
+class of sites weighted by its size, with the scaling factor integrated out.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from .dists import SiteDistribution
 from .lattice import (
     assemble_hamiltonian,
     enumerate_cube,
-    interior_cube,
     nested_disorder,
     sample_disorder,
 )
 from .spectral import EigenDecomposition, eigenvalues_sym
+from .walks import cube_polynomials
 from .walks import dos_moment, dos_moment_variance, modified_moment, moment_polynomial
 
 __all__ = [
@@ -89,22 +89,16 @@ class IdsConvergenceReport:
         return tuple(b + 5.0 * s for b, s in zip(self.bias_bounds, self.se_bounds))
 
 
-def finite_volume_mean_moment(d: int, L: int, dist: SiteDistribution, k: int):
-    """Exact E of the volume-averaged k-th diagonal moment at half-side L.
+def _cube_mean(d: int, L: int, k: int, moment):
+    """Mean over cube sites n of moment(k-th polynomial at n), for a moment
+    that translation does not change (dos_moment, modified_moment)."""
+    total = sum(len(sites) * moment(wp) for wp, sites in cube_polynomials(d, L, k))
+    return total / (2 * L + 1) ** d
 
-    Interior sites contribute the infinite-volume moment exactly; only the
-    boundary window needs finite-volume walk polynomials.
-    """
-    cube = enumerate_cube(d, L)
-    inner = interior_cube(cube, k)
-    m_inf = dos_moment(moment_polynomial(d, k), dist)
-    total = m_inf * len(inner)
-    for i, site in enumerate(cube.sites):
-        if i in inner:
-            continue
-        wp = moment_polynomial(d, k, tuple(int(c) for c in site), volume=L)
-        total += dos_moment(wp, dist)
-    return total / len(cube)
+
+def finite_volume_mean_moment(d: int, L: int, dist: SiteDistribution, k: int):
+    """Exact mean over cube sites n of E<delta_n, H^k delta_n> at half-side L."""
+    return _cube_mean(d, L, k, lambda wp: dos_moment(wp, dist))
 
 
 def ids_moment_convergence(
@@ -115,7 +109,7 @@ def ids_moment_convergence(
     The disorder values are keyed by site coordinates, so every L on the grid
     sees the restriction of the same infinite realization.  The acceptance
     band per L is pre-registered from exact quantities: the finite-volume
-    expectation defect (exact, via boundary-window walk polynomials) plus
+    expectation defect (exact, via finite-volume walk polynomials) plus
     five standard errors, where the fluctuation scale combines the exact
     variance of one diagonal element (squared walk polynomial) with the
     blocking factor (4k+1)^d covering its dependence range (diagonal elements
@@ -269,12 +263,7 @@ def modified_dos_moment_exact(
     """
     if not dist.is_exact:
         raise ValueError("exact moments require a rational-moment distribution")
-    cube = enumerate_cube(d, L)
-    total = Fraction(0)
-    for site in cube.sites:
-        wp = moment_polynomial(d, k, tuple(int(c) for c in site), volume=L)
-        total += modified_moment(wp, dist, p)
-    return total / len(cube)
+    return _cube_mean(d, L, k, lambda wp: modified_moment(wp, dist, p))
 
 
 def modified_dos_poly_integral_exact(

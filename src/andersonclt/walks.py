@@ -4,15 +4,16 @@
 to n: every hop contributes a unit factor and every pause at a site s
 multiplies by the potential value at s.  Collecting like monomials gives an
 integer-coefficient multivariate polynomial in the site variables, computed
-here in exact arithmetic.  Expectations over independent site values then
-factor over sites, which yields exact spectral-measure moments, the weighted
-(coupling-scaled) measure moments, and the moment-growth/determinacy
-diagnostics.
+here in exact arithmetic, once per class of cube sites the boundary treats
+alike.  Expectations over independent site values then factor over sites,
+which yields exact spectral-measure moments, the weighted (coupling-scaled)
+measure moments, and the moment-growth/determinacy diagnostics.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .dists import SiteDistribution
 __all__ = [
     "WalkPolynomial",
     "moment_polynomial",
+    "cube_polynomials",
     "trace_polynomial_terms",
     "dos_moment",
     "modified_moment",
@@ -67,17 +69,14 @@ class WalkPolynomial:
     def translated(self, shift: tuple) -> "WalkPolynomial":
         """Shift every site (and the base) by a lattice vector."""
         shift = tuple(shift)
-        moved = {}
-        for key, coeff in self.terms.items():
-            new_key = tuple(
-                sorted(
-                    (tuple(c + s for c, s in zip(site, shift)), exp)
-                    for site, exp in key
-                )
-            )
-            moved[new_key] = coeff
-        base = tuple(c + s for c, s in zip(self.base, shift))
-        return WalkPolynomial(self.d, self.k, base, self.volume, moved)
+
+        def move(site):
+            return tuple(c + s for c, s in zip(site, shift))
+
+        # a translation keeps the lexicographic order of the sites in a key
+        moved = {tuple((move(site), exp) for site, exp in key): coeff
+                 for key, coeff in self.terms.items()}
+        return WalkPolynomial(self.d, self.k, move(self.base), self.volume, moved)
 
 
 def _bump(key: MonomialKey, site: tuple) -> MonomialKey:
@@ -114,21 +113,14 @@ def moment_polynomial(
     if volume is not None and any(abs(c) > volume for c in base):
         raise ValueError(f"site {base} lies outside the cube of half-side {volume}")
 
-    def inside(s: tuple) -> bool:
-        return volume is None or all(abs(c) <= volume for c in s)
-
     state: dict[tuple, dict[MonomialKey, int]] = {base: {(): 1}}
     for _ in range(k):
         new_state: dict[tuple, dict[MonomialKey, int]] = {}
         for s, poly in state.items():
-            hops = []
-            for axis in range(d):
-                for step in (-1, 1):
-                    target = list(s)
-                    target[axis] += step
-                    target = tuple(target)
-                    if inside(target):
-                        hops.append(target)
+            # s is inside the cube, so only the coordinate a hop moves can leave it
+            hops = [s[:axis] + (s[axis] + step,) + s[axis + 1:]
+                    for axis in range(d) for step in (-1, 1)
+                    if volume is None or abs(s[axis] + step) <= volume]
             for key, coeff in poly.items():
                 for target in hops:
                     bucket = new_state.setdefault(target, {})
@@ -140,15 +132,31 @@ def moment_polynomial(
     return WalkPolynomial(d, k, base, volume, state.get(base, {}))
 
 
+def cube_polynomials(d: int, L: int, k: int) -> list[tuple[WalkPolynomial, list]]:
+    """(polynomial, sites) per class of sites, covering the cube of half-side L once.
+
+    A closed k-step walk moves at most k//2 from its base along any axis, so
+    zeroing each coordinate with |c| <= L - k//2 leaves the walks unchanged up
+    to translation.  Each class is expanded once at that representative; a
+    member's own polynomial is it translated by member - representative.
+    """
+    if L < 0:
+        raise ValueError(f"half-side must be >= 0, got {L}")
+    classes: dict[tuple, list] = {}
+    for site in itertools.product(range(-L, L + 1), repeat=d):
+        rep = tuple(0 if abs(c) <= L - k // 2 else c for c in site)
+        classes.setdefault(rep, []).append(site)
+    return [(moment_polynomial(d, k, rep, volume=L), sites) for rep, sites in classes.items()]
+
+
 def trace_polynomial_terms(d: int, L: int, k: int) -> dict[MonomialKey, int]:
     """Terms of Tr(H^k) on the cube of half-side L, all base sites collected."""
-    import itertools
-
     total: dict[MonomialKey, int] = {}
-    for site in itertools.product(range(-L, L + 1), repeat=d):
-        wp = moment_polynomial(d, k, site, volume=L)
-        for key, coeff in wp.terms.items():
-            total[key] = total.get(key, 0) + coeff
+    for wp, sites in cube_polynomials(d, L, k):
+        for site in sites:
+            shift = tuple(c - b for c, b in zip(site, wp.base))
+            for key, coeff in wp.translated(shift).terms.items():
+                total[key] = total.get(key, 0) + coeff
     return total
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -114,20 +115,35 @@ def test_degenerate_clt_reports_branch(tmp_path):
 
 
 def test_martingale_and_directional_kinds(tmp_path):
-    for kind, extra in (("martingale", {"f": "arctan"}), ("directional", {"f": {"poly": [0, 1]}})):
-        cfg = write_config(
-            tmp_path,
-            f"{kind}.json",
-            {
-                "kind": kind,
-                "d": 1,
-                "L": 2,
-                "ssd": "rademacher",
-                "out": str(tmp_path / "results"),
-                **extra,
-            },
-        )
+    cases = (
+        ("martingale", "martingale", {"f": "arctan"}),
+        ("directional", "directional", {"f": {"poly": [0, 1]}}),
+        ("directional-float", "directional", {"f": {"poly": [0, 1.5]}}),
+    )
+    for stem, kind, extra in cases:
+        payload = {
+            "kind": kind,
+            "d": 1,
+            "L": 2,
+            "ssd": "rademacher",
+            "out": str(tmp_path / "results"),
+            **extra,
+        }
+        cfg = write_config(tmp_path, f"{stem}.json", payload)
         assert main(["run", str(cfg), "--assert"]) == 0
+        # float-path values are numpy scalars: each cell must hold the plain
+        # float text, which reads back to the same value
+        with open(tmp_path / "results" / f"{stem}.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        sidecar = json.loads((tmp_path / "results" / f"{stem}.json").read_text())
+        rows = run_experiment(payload).rows
+        assert len(csv_rows) == len(sidecar["rows"]) == len(rows)
+        for csv_row, json_row, row in zip(csv_rows, sidecar["rows"], rows):
+            for col, value in row.items():
+                for cell in (csv_row[col], json_row[col]):
+                    assert "np." not in cell
+                    if isinstance(value, float):
+                        assert float(cell) == value
 
 
 def test_csv_bytes_identical_across_workers_and_reruns(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,9 +6,13 @@ import numpy as np
 import pytest
 
 from andersonclt import (
+    Gaussian,
     Polynomial,
+    TwoPoint,
+    Uniform,
     assemble_hamiltonian,
     derivative_sq_norm_mc,
+    dos_moment,
     eigenvalues_sym,
     empirical_ids,
     enumerate_cube,
@@ -23,6 +28,7 @@ from andersonclt import (
     spectrum_support,
 )
 from andersonclt.lattice import DisorderField, interior_cube
+from andersonclt.measures import finite_volume_mean_moment
 
 
 def test_empirical_ids_three_site_chain():
@@ -192,3 +198,31 @@ def test_exact_moments_require_exact_distribution():
 
     with pytest.raises(ValueError, match="rational"):
         modified_dos_moment_exact(1, 2, Gaussian(0, 1), 1, 2)
+
+
+def _per_site_polynomials(d, L, k):
+    cube = enumerate_cube(d, L)
+    return [moment_polynomial(d, k, tuple(int(c) for c in s), volume=L) for s in cube.sites]
+
+
+def test_cube_averages_match_per_site_sum():
+    # the class-weighted sums equal the plain per-site sums exactly on
+    # rational-moment laws, L < k//2 included
+    dists = (rademacher(), Uniform(-1, 2), TwoPoint(Fraction(1, 3), -2, Fraction(1, 5)))
+    for d, L_grid in ((1, (0, 1, 2, 5)), (2, (0, 1, 3))):
+        for L, k in itertools.product(L_grid, range(6)):
+            polys = _per_site_polynomials(d, L, k)
+            for dist in dists:
+                want = sum(dos_moment(wp, dist) for wp in polys) / len(polys)
+                assert finite_volume_mean_moment(d, L, dist, k) == want
+                for p in (0, 1):
+                    want = sum(modified_moment(wp, dist, p) for wp in polys) / len(polys)
+                    assert modified_dos_moment_exact(d, L, dist, p, k) == want
+
+
+def test_float_cube_mean_matches_per_site_sum():
+    g = Gaussian(0.3, 1.7)
+    for d, L, k in ((1, 3, 5), (1, 1, 4), (2, 5, 4), (2, 1, 3)):
+        polys = _per_site_polynomials(d, L, k)
+        want = sum(dos_moment(wp, g) for wp in polys) / len(polys)
+        assert finite_volume_mean_moment(d, L, g, k) == pytest.approx(want, rel=1e-12)

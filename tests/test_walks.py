@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from andersonclt import (
     spectral_diagonal,
 )
 from andersonclt.lattice import DisorderField
-from andersonclt.walks import dos_moment_variance, trace_polynomial_terms
+from andersonclt.walks import cube_polynomials, dos_moment_variance, trace_polynomial_terms
 
 
 def key_of(*pairs):
@@ -244,19 +245,51 @@ def test_dos_moment_variance_oracle():
 
 
 def test_trace_polynomial_terms_match_per_site_sum():
-    d, L, k = 1, 2, 3
-    total = trace_polynomial_terms(d, L, k)
-    cube = enumerate_cube(d, L)
-    field = sample_disorder(Uniform(-1, 1), cube, 3, 0)
-    H = assemble_hamiltonian(cube, field).matrix
-    numeric = float(np.trace(np.linalg.matrix_power(H, k)))
-    value = 0.0
-    for key, coeff in total.items():
-        term = float(coeff)
-        for site, exp in key:
-            term *= field.value_at(site) ** exp
-        value += term
-    assert value == pytest.approx(numeric, rel=1e-12)
+    # (1, 1, 5) and (2, 1, 4) have L < k//2: every site is its own class
+    for d, L, k in ((1, 2, 3), (1, 1, 5), (2, 1, 4)):
+        total = trace_polynomial_terms(d, L, k)
+        cube = enumerate_cube(d, L)
+        field = sample_disorder(Uniform(-1, 1), cube, 3, 0)
+        H = assemble_hamiltonian(cube, field).matrix
+        numeric = float(np.trace(np.linalg.matrix_power(H, k)))
+        value = 0.0
+        for key, coeff in total.items():
+            term = float(coeff)
+            for site, exp in key:
+                term *= field.value_at(site) ** exp
+            value += term
+        assert value == pytest.approx(numeric, rel=1e-12)
+
+
+# cap on sites * (2d+1)^k for the per-site oracle below: it leaves out only
+# d=3, L=5, k=6 (about 20 s of per-site expansions), whose classes are still
+# checked to partition the cube
+ORACLE_WALK_BUDGET = 2 * 10**7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_polynomials_match_per_site_expansion(d):
+    for L, k in itertools.product((0, 1, 2, 5), (0, 1, 2, 3, 4, 6)):
+        classes = cube_polynomials(d, L, k)
+        cube = enumerate_cube(d, L)
+        members = sorted(site for _, sites in classes for site in sites)
+        assert members == [tuple(int(c) for c in s) for s in cube.sites]
+        for wp, sites in classes:
+            assert wp.base in sites and (wp.k, wp.volume) == (k, L)
+        if len(cube) * (2 * d + 1) ** k > ORACLE_WALK_BUDGET:
+            continue
+        for wp, sites in classes:
+            for site in sites:
+                moved = wp.translated(tuple(c - b for c, b in zip(site, wp.base)))
+                assert moved.base == site
+                assert dict(moved.terms) == dict(
+                    moment_polynomial(d, k, site, volume=L).terms
+                )
+
+
+def test_cube_polynomials_rejects_negative_half_side():
+    with pytest.raises(ValueError):
+        cube_polynomials(1, -1, 2)
 
 
 def test_moment_table_csv_export(tmp_path):
