@@ -16,6 +16,7 @@ from .lattice import (
 )
 from .spectral import (
     EigenDecomposition,
+    chain_arctan_traces,
     eig_sym,
     eigenvalues_sym,
     hellmann_feynman_check,

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +142,7 @@ class RunReport:
     rows: list
     verdicts: list  # (name, ok, detail)
     wall_time_s: float = 0.0
+    numerics: dict = field(default_factory=dict)  # health of the numerics, sidecar only
 
     @property
     def ok(self) -> bool:
@@ -255,7 +256,11 @@ def _run_clt(cfg, seed):
                     f"sigma2={verdict.sigma2_hat:.4g} > 5*SE={verdict.threshold:.4g}",
                 )
             )
-    return [row], verdicts
+    numerics = {
+        "min_pivot_re": samples.min_pivot_re,
+        "spot_check_residual": samples.spot_check_residual,
+    }
+    return [row], verdicts, numerics
 
 
 def _run_variance_scan(cfg, seed):
@@ -550,12 +555,13 @@ def run_experiment(config: dict, seed_override=None, workers_override=None) -> R
     if type(workers) is not int or workers < 1:
         raise ConfigError(f"{kind}: workers must be a positive integer")
     start = time.perf_counter()
-    rows, verdicts = _RUNNERS[kind](cfg, seed)
+    # a runner returns (rows, verdicts), or (rows, verdicts, numerics)
+    rows, verdicts, *numerics = _RUNNERS[kind](cfg, seed)
     wall = time.perf_counter() - start
     columns = sorted({key for row in rows for key in row})
     echo = dict(config)
     echo["master_seed"] = seed
-    return RunReport(echo, columns, rows, verdicts, wall)
+    return RunReport(echo, columns, rows, verdicts, wall, *numerics)
 
 
 def write_report(report: RunReport, out_dir: Path, stem: str) -> tuple[Path, Path]:
@@ -579,6 +585,7 @@ def write_report(report: RunReport, out_dir: Path, stem: str) -> tuple[Path, Pat
             for name, ok, detail in report.verdicts
         ],
         "wall_time_s": report.wall_time_s,
+        "numerics": report.numerics,
         "versions": {
             "andersonclt": __version__,
             "numpy": np.__version__,

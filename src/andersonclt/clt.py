@@ -30,7 +30,7 @@ from .lattice import (
     spectrum_support,
 )
 from .measures import MeasureEstimate, modified_dos_integral_mc
-from .spectral import EigensolveError, eigenvalues_sym
+from .spectral import EigensolveError, chain_arctan_traces, eigenvalues_sym
 from .testfuncs import (
     Polynomial,
     SmoothFunction,
@@ -72,9 +72,22 @@ __all__ = [
 # sampling
 
 
+# replicates per call of the chain kernel; its working set is 32 bytes per
+# site and replicate of a block (diagonal, pivot, argument), 1 MB at L = 500
+CHAIN_BLOCK = 32
+# the chain kernel must agree with the sterf path on replicate 0 within this,
+# relative to sum_k |arctan E_k|
+SPOT_CHECK_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SampleSet:
-    """Centered statistics per replicate, with full provenance."""
+    """Centered statistics per replicate, with full provenance.
+
+    ``min_pivot_re`` and ``spot_check_residual`` report the health of the
+    chain log-determinant kernel (see ``_chain_arctan_traces``); both are
+    None when the traces came from eigensolves.
+    """
 
     values: np.ndarray
     d: int
@@ -84,6 +97,8 @@ class SampleSet:
     replicates: int
     master_seed: int
     centered: bool = True
+    min_pivot_re: float | None = None
+    spot_check_residual: float | None = None
 
 
 def _trace_of(H, f) -> float:
@@ -115,6 +130,43 @@ def _trace_of(H, f) -> float:
     return float(np.sum(np.asarray(fn(eigenvalues_sym(H)), dtype=np.float64)))
 
 
+def _chain_arctan_traces(cube, dist, master_seed, traces) -> tuple[float, float]:
+    """Fill ``traces`` with Tr arctan(H_r) of chains through the pivot kernel.
+
+    Replicates are drawn exactly as on the eigensolve path and go to
+    ``chain_arctan_traces`` in blocks of ``CHAIN_BLOCK``.  Replicate 0 is
+    also solved through the sterf path, which must agree within
+    ``SPOT_CHECK_RTOL``.  Returns (smallest pivot real part, relative
+    residual of that check).
+    """
+    block = np.empty((CHAIN_BLOCK, len(cube)), dtype=np.float64)
+    min_pivot = math.inf
+    for start in range(0, len(traces), CHAIN_BLOCK):
+        stop = min(start + CHAIN_BLOCK, len(traces))
+        for r in range(start, stop):
+            block[r - start] = sample_disorder(dist, cube, master_seed, r).values
+        try:
+            traces[start:stop], pivot = chain_arctan_traces(block[: stop - start])
+        except EigensolveError as exc:
+            raise EigensolveError(f"replicate {start + exc.index}: {exc}") from exc
+        min_pivot = min(min_pivot, pivot)
+
+    H = assemble_hamiltonian(cube, sample_disorder(dist, cube, master_seed, 0))
+    try:
+        f_vals = np.arctan(eigenvalues_sym(H))
+    except EigensolveError as exc:
+        raise EigensolveError(f"replicate 0: {exc}") from exc
+    want = float(np.sum(f_vals))
+    scale = max(float(np.sum(np.abs(f_vals))), np.finfo(np.float64).tiny)
+    residual = abs(want - traces[0]) / scale
+    if not residual <= SPOT_CHECK_RTOL:
+        raise EigensolveError(
+            f"replicate 0: chain kernel trace {traces[0]!r} and sterf trace {want!r} "
+            f"differ by {residual:.3g} relative (limit {SPOT_CHECK_RTOL})"
+        )
+    return min_pivot, residual
+
+
 def sample_centered_traces(
     d: int,
     L: int,
@@ -127,24 +179,32 @@ def sample_centered_traces(
 
     Centering uses the cross-replicate sample mean (the analytic expectation
     is unavailable for general f); the O(1/R) bias this adds to the variance
-    estimate is negligible against the acceptance bands.
+    estimate is negligible against the acceptance bands.  Arctan traces of
+    chains come from the pivot kernel, every other trace from ``_trace_of``.
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     cube = enumerate_cube(d, L)
     traces = np.empty(replicates, dtype=np.float64)
-    for r in range(replicates):
-        field = sample_disorder(dist, cube, master_seed, r)
-        H = assemble_hamiltonian(cube, field)
-        try:
-            traces[r] = _trace_of(H, f)
-        except EigensolveError as exc:
-            raise EigensolveError(f"replicate {r}: {exc}") from exc
+    min_pivot_re = spot_check_residual = None
+    if d == 1 and function_of(f) is np.arctan:
+        min_pivot_re, spot_check_residual = _chain_arctan_traces(
+            cube, dist, master_seed, traces
+        )
+    else:
+        for r in range(replicates):
+            field = sample_disorder(dist, cube, master_seed, r)
+            H = assemble_hamiltonian(cube, field)
+            try:
+                traces[r] = _trace_of(H, f)
+            except EigensolveError as exc:
+                raise EigensolveError(f"replicate {r}: {exc}") from exc
 
     centered = (traces - np.mean(traces)) / math.sqrt(len(cube))
     centered.setflags(write=False)
     return SampleSet(
-        centered, d, L, label_of(f), dist, replicates, master_seed
+        centered, d, L, label_of(f), dist, replicates, master_seed,
+        min_pivot_re=min_pivot_re, spot_check_residual=spot_check_residual,
     )
 
 

@@ -1,11 +1,14 @@
 """Symmetric eigendecomposition and spectral functional calculus.
 
-All statistics in this package consume the full spectrum.  Every solve goes
-through one dispatch: chains use the tridiagonal LAPACK solvers on their two
-bands and never build a dense matrix; other Hamiltonians, raw matrices and
-stacks of raw matrices use the dense symmetric solvers.  Diagonal matrix
-elements <delta_n, f(H) delta_n> come from the eigenvector overlaps, traces
-from the eigenvalues alone.
+Every solve goes through one dispatch: chains use the tridiagonal LAPACK
+solvers on their two bands and never build a dense matrix; other
+Hamiltonians, raw matrices and stacks of raw matrices use the dense symmetric
+solvers.  Diagonal matrix elements <delta_n, f(H) delta_n> come from the
+eigenvector overlaps, traces from the eigenvalues alone.
+
+One trace needs no spectrum: ``chain_arctan_traces`` computes Tr arctan(H)
+of a batch of chains as Im log det(I + iH), through the O(N) pivot
+recurrence of the tridiagonal determinant, vectorised across the chains.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .testfuncs import derivative_of, function_of
 __all__ = [
     "EigenDecomposition",
     "EigensolveError",
+    "chain_arctan_traces",
     "eig_sym",
     "eigenvalues_sym",
     "spectral_diagonal",
@@ -31,10 +35,19 @@ __all__ = [
 ]
 
 DEGENERACY_GAP = 1e-10
+# every pivot of det(I + iH) has real part >= 1 in exact arithmetic
+PIVOT_FLOOR = 1.0 - 1e-12
 
 
 class EigensolveError(RuntimeError):
-    """Eigensolver failure, annotated with the matrix provenance."""
+    """Eigensolver failure, annotated with the matrix provenance.
+
+    ``index`` is the position of the failing matrix in a batch, when known.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,51 @@ def eig_sym(H) -> EigenDecomposition:
 def eigenvalues_sym(H) -> np.ndarray:
     """Ascending eigenvalues only; ``H`` may also be a stack of raw matrices."""
     return _solve(H, vectors=False)
+
+
+def chain_arctan_traces(diagonals) -> tuple[np.ndarray, float]:
+    """Tr arctan(H_r) of unit-hopping chains, with no eigensolve.
+
+    Row r of ``diagonals`` is the diagonal of chain H_r.  Tr arctan(H) =
+    Im log det(I + iH), and det(I + iH) is the product of the pivots
+
+        q_1 = 1 + i v_1,    q_j = (1 + i v_j) + 1 / q_{j-1}.
+
+    Every Re q_j >= 1, so each Arg q_j lies in (-pi/2, pi/2).  The same holds
+    along H -> tH for t in [0, 1], where both sum_j Arg q_j and
+    sum_k arctan(t E_k) are continuous and vanish at t = 0; so they are equal,
+    with no 2 pi ambiguity.  The recurrence is one loop over the sites on
+    vectors across the chains; each trace is bit for bit the same whatever
+    other chains share its batch.
+
+    Returns the traces and the smallest pivot real part.  Raises
+    EigensolveError, with ``index`` set to the chain, on a non-finite
+    diagonal entry or a pivot with real part below ``PIVOT_FLOOR``.
+    """
+    v = np.asarray(diagonals, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] == 0:
+        raise ValueError(f"need a (chains, sites) array with sites >= 1, got shape {v.shape}")
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        chain = int(np.argmin(finite))
+        raise EigensolveError(f"chain {chain} of the batch has a non-finite diagonal", chain)
+    q = np.empty(v.T.shape, dtype=np.complex128)  # q[j] holds the pivots of site j
+    q.real = 1.0
+    q.imag = v.T
+    for j in range(1, len(q)):
+        q[j] += 1.0 / q[j - 1]
+    pivots = q.real.min(axis=0)
+    chain = int(np.argmin(pivots))
+    if not pivots[chain] >= PIVOT_FLOOR:
+        raise EigensolveError(
+            f"chain {chain} of the batch has a pivot with real part "
+            f"{pivots[chain]!r} < {PIVOT_FLOOR!r}",
+            chain,
+        )
+    # Arg q_j with one chain per contiguous row, so that each trace is the
+    # same pairwise sum whatever the batch it came in
+    args = np.arctan2(q.imag.T, q.real.T, out=np.empty_like(v))
+    return np.sum(args, axis=1), float(pivots[chain])
 
 
 def spectral_diagonal(dec: EigenDecomposition, f, site_index: int) -> float:

@@ -93,6 +93,15 @@ def test_clt_kind_small_run(tmp_path):
     assert {"skewness", "excess-kurtosis", "ks", "positivity"} <= names
     assert all(v["ok"] for v in sidecar["verdicts"])
     assert "wall_time_s" in sidecar and "versions" in sidecar
+    # the chain kernel's health goes to the sidecar, never to the CSV
+    numerics = sidecar["numerics"]
+    assert numerics["min_pivot_re"] >= 1.0 - 1e-12
+    assert 0.0 <= numerics["spot_check_residual"] <= 1e-12
+    header = (tmp_path / "results" / "clt.csv").read_text().splitlines()[0]
+    assert header.split(",") == [
+        "L", "R", "d", "degenerate", "excess_kurtosis", "f", "ks_statistic",
+        "positivity", "seed", "sigma2_hat", "skewness", "ssd", "std_error",
+    ]
 
 
 def test_degenerate_clt_reports_branch(tmp_path):
@@ -112,6 +121,7 @@ def test_degenerate_clt_reports_branch(tmp_path):
     assert main(["run", str(cfg), "--assert"]) == 0
     sidecar = json.loads((tmp_path / "results" / "degenerate.json").read_text())
     assert sidecar["verdicts"][0]["name"] == "degenerate-case-reported"
+    assert sidecar["numerics"] == {"min_pivot_re": None, "spot_check_residual": None}
 
 
 def test_martingale_and_directional_kinds(tmp_path):

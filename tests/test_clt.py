@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from andersonclt import (
     EnumerationEngine,
     FiltrationPlan,
+    Gaussian,
     Polynomial,
     TwoPoint,
     Uniform,
@@ -26,9 +28,10 @@ from andersonclt import (
     variance_estimate,
     variance_scan,
 )
-from andersonclt.clt import _trace_of
-from andersonclt.lattice import assemble_hamiltonian, sample_disorder
-from andersonclt.spectral import eigenvalues_sym
+from andersonclt import clt as clt_module
+from andersonclt.clt import CHAIN_BLOCK, _trace_of
+from andersonclt.lattice import DisorderField, assemble_hamiltonian, sample_disorder
+from andersonclt.spectral import EigensolveError, eigenvalues_sym
 
 X = Polynomial((0, 1))
 X2 = Polynomial((0, 0, 1))
@@ -499,12 +502,102 @@ def test_martingale_identities_thirteen_site_instance():
 
 
 def test_eigensolver_failure_carries_replicate_id(monkeypatch):
-    from andersonclt import clt as clt_module
-    from andersonclt.spectral import EigensolveError
-
     def boom(H, f):
         raise EigensolveError("synthetic failure")
 
     monkeypatch.setattr(clt_module, "_trace_of", boom)
     with pytest.raises(EigensolveError, match="replicate 0"):
         sample_centered_traces(1, 3, rademacher(), X, 4, 0)
+
+
+# ---------------------------------------------------------------------------
+# chain arctan traces through the pivot kernel
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 500])
+def test_chain_arctan_statistic_matches_sterf(L):
+    # oracle: the centered statistic built here from per-replicate sterf spectra;
+    # R spans two kernel blocks
+    R = CHAIN_BLOCK + 2
+    cube = enumerate_cube(1, L)
+    arctan = catalog()["arctan"]
+    for dist in (rademacher(), Gaussian(0, 3), Uniform(-1, 2)):
+        traces = np.empty(R)
+        for r in range(R):
+            v = sample_disorder(dist, cube, 5, r).values
+            traces[r] = np.sum(
+                np.arctan(eigvalsh_tridiagonal(v, np.ones(len(v) - 1), lapack_driver="sterf"))
+            )
+        want = (traces - np.mean(traces)) / math.sqrt(len(cube))
+        s = sample_centered_traces(1, L, dist, arctan, R, 5)
+        assert np.max(np.abs(s.values - want)) <= 1e-13
+        assert s.min_pivot_re >= 1.0 - 1e-12
+        assert 0.0 <= s.spot_check_residual <= 1e-12
+
+
+def test_eigensolve_paths_report_no_kernel_health():
+    arctan = catalog()["arctan"]
+    for s in (
+        sample_centered_traces(2, 1, rademacher(), arctan, 4, 0),
+        sample_centered_traces(1, 3, rademacher(), X3, 4, 0),
+    ):
+        assert s.min_pivot_re is None and s.spot_check_residual is None
+
+
+def _poisoned_disorder(monkeypatch, replicate, bad):
+    """Make replicate ``replicate`` carry ``bad`` at its first site."""
+
+    def draw(dist, cube, master_seed, r):
+        field = sample_disorder(dist, cube, master_seed, r)
+        if r != replicate:
+            return field
+        values = field.values.copy()
+        values[0] = bad
+        return DisorderField(cube, values, field.provenance)
+
+    monkeypatch.setattr(clt_module, "sample_disorder", draw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("f", [catalog()["arctan"], X3], ids=["kernel", "sterf"])
+def test_non_finite_chain_diagonal_names_replicate(monkeypatch, f, bad):
+    replicate = CHAIN_BLOCK + 3
+    _poisoned_disorder(monkeypatch, replicate, bad)
+    with pytest.raises(EigensolveError, match=f"replicate {replicate}:"):
+        sample_centered_traces(1, 3, rademacher(), f, CHAIN_BLOCK + 8, 0)
+
+
+def test_chain_kernel_disagreeing_with_sterf_is_refused(monkeypatch):
+    kernel = clt_module.chain_arctan_traces
+
+    def skewed(diagonals):
+        traces, pivot = kernel(diagonals)
+        return traces + 1e-9, pivot
+
+    monkeypatch.setattr(clt_module, "chain_arctan_traces", skewed)
+    with pytest.raises(EigensolveError, match="replicate 0: chain kernel"):
+        sample_centered_traces(1, 10, rademacher(), catalog()["arctan"], 8, 0)
+
+
+@pytest.mark.parametrize(
+    "d, f, calls",
+    [(1, catalog()["arctan"], 1), (2, catalog()["arctan"], 6), (1, X3, 6)],
+    ids=["chain-arctan", "square-arctan", "chain-cubic"],
+)
+def test_solver_and_assembly_calls_per_sample(monkeypatch, d, f, calls):
+    # the layers a traced benchmark run of a d=1 arctan CLT pass must see
+    counts = {"assemble": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        clt_module, "assemble_hamiltonian", counting("assemble", assemble_hamiltonian)
+    )
+    monkeypatch.setattr(clt_module, "eigenvalues_sym", counting("solve", eigenvalues_sym))
+    sample_centered_traces(d, 2, rademacher(), f, 6, 1)
+    assert counts == {"assemble": calls, "solve": calls}

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from andersonclt import (
+    Gaussian,
     Polynomial,
     Uniform,
     assemble_hamiltonian,
     catalog,
+    chain_arctan_traces,
     eig_sym,
     eigenvalues_sym,
     enumerate_cube,
@@ -18,6 +21,7 @@ from andersonclt import (
     trace_function,
 )
 from andersonclt.lattice import DisorderField
+from andersonclt.spectral import PIVOT_FLOOR, EigensolveError
 
 X = Polynomial((0, 1))
 X2 = Polynomial((0, 0, 1))
@@ -229,3 +233,36 @@ def test_trace_shift_identity():
     lhs = trace_function(dec, f.shift(c))
     rhs = trace_function(dec, f) + c * len(H.matrix)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 500])
+def test_chain_arctan_traces_match_sterf(L):
+    # oracle: per-chain sterf spectra; pinned at 1e-12 relative to sum |arctan E|
+    cube = enumerate_cube(1, L)
+    for dist in (rademacher(), Gaussian(0, 3), Uniform(-1, 2)):
+        for seed in (3, 11):
+            diags = np.array([sample_disorder(dist, cube, seed, r).values for r in range(5)])
+            traces, min_pivot = chain_arctan_traces(diags)
+            assert min_pivot >= PIVOT_FLOOR
+            for v, trace in zip(diags, traces):
+                evals = eigvalsh_tridiagonal(v, np.ones(len(v) - 1), lapack_driver="sterf")
+                f_vals = np.arctan(evals)
+                assert abs(trace - np.sum(f_vals)) <= 1e-12 * np.sum(np.abs(f_vals))
+
+
+def test_chain_arctan_traces_do_not_depend_on_the_batch():
+    cube = enumerate_cube(1, 40)
+    diags = np.array([sample_disorder(Gaussian(0, 3), cube, 2, r).values for r in range(9)])
+    batched, _ = chain_arctan_traces(diags)
+    for r, v in enumerate(diags):
+        assert chain_arctan_traces(v[None, :])[0][0] == batched[r]
+    assert np.array_equal(chain_arctan_traces(diags[3:7])[0], batched[3:7])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chain_arctan_traces_reject_non_finite(bad):
+    diags = np.zeros((4, 6))
+    diags[2, 3] = bad
+    with pytest.raises(EigensolveError, match="chain 2") as info:
+        chain_arctan_traces(diags)
+    assert info.value.index == 2
